@@ -20,10 +20,10 @@ race:
 	$(GO) test -race ./...
 
 # Fast-failing race pass over the concurrency-heavy packages (shared
-# instrument handles, gossip fan-out, blob retrieval) before the full
-# suite runs.
+# instrument handles, gossip fan-out, blob retrieval, concurrent
+# checkpoint snapshot and restore) before the full suite runs.
 race-hot:
-	$(GO) test -race -count=1 ./internal/telemetry/... ./internal/commitbus/... ./internal/gossip/... ./internal/blobstore/... ./internal/ledger ./internal/consensus ./internal/simnet ./internal/chaos ./internal/transport/... ./internal/admission ./internal/ingest ./internal/search ./internal/contract ./internal/store
+	$(GO) test -race -count=1 ./internal/telemetry/... ./internal/commitbus/... ./internal/gossip/... ./internal/blobstore/... ./internal/ledger ./internal/consensus ./internal/simnet ./internal/chaos ./internal/transport/... ./internal/admission ./internal/ingest ./internal/search ./internal/contract ./internal/store ./internal/supplychain ./internal/platform
 
 # Open-loop load generator smoke: a short low-rate run against an
 # in-process node with admission control on must finish with zero

@@ -54,6 +54,12 @@ type CommitEvent struct {
 // Subscriber consumes ordered commit events and supports checkpointing.
 // OnCommit is invoked with the platform commit lock held, in chain order;
 // implementations must not re-enter the bus.
+//
+// Snapshot and Restore run concurrently with the other subscribers'
+// Snapshot and Restore (never with OnCommit). An implementation must
+// therefore read, in Snapshot, and write, in Restore, only its own
+// state — never another subscriber's index or anything a sibling's
+// Restore may be replacing at the same moment.
 type Subscriber interface {
 	// Name identifies the subscriber (stable across restarts: it keys the
 	// snapshot blob inside a checkpoint).
@@ -253,30 +259,64 @@ func (b *Bus) Stats() []SubscriberStats {
 	return out
 }
 
-// Snapshot serializes every subscriber's state, keyed by name. The caller
-// must ensure no Publish runs concurrently (the platform holds its commit
-// lock), so the blobs form one consistent cut of the derived state.
+// Snapshot serializes every subscriber's state, keyed by name. The
+// subscribers encode concurrently, one goroutine each (see the Snapshot
+// and Restore contract on Subscriber). The caller must ensure no Publish
+// runs concurrently (the platform holds its commit lock), so the blobs
+// form one consistent cut of the derived state. If any subscriber fails,
+// the error of the first failing one in registration order is returned.
 func (b *Bus) Snapshot() (map[string][]byte, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	out := make(map[string][]byte, len(b.subs))
-	for _, e := range b.subs {
+	blobs := make([][]byte, len(b.subs))
+	err := b.each(func(i int, e *entry) error {
 		blob, err := e.sub.Snapshot()
 		if err != nil {
-			return nil, fmt.Errorf("commitbus: snapshot %s: %w", e.sub.Name(), err)
+			return fmt.Errorf("commitbus: snapshot %s: %w", e.sub.Name(), err)
 		}
-		out[e.sub.Name()] = blob
+		blobs[i] = blob
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string][]byte, len(b.subs))
+	for i, e := range b.subs {
+		out[e.sub.Name()] = blobs[i]
 	}
 	return out, nil
+}
+
+// RestoreOptions adds optional observers to Restore; the zero value
+// restores plainly.
+type RestoreOptions struct {
+	// Span, when set, parents one "commitbus.restore" span per
+	// subscriber, labeled with the subscriber's name.
+	Span *telemetry.Span
+	// Restored, when set, runs in a subscriber's restore goroutine as
+	// soon as that subscriber's Restore succeeds, while the others may
+	// still be running. An error fails that subscriber's restore. It
+	// lets a caller start work that depends on one subscriber's state
+	// (the platform verifies the contract-state root this way) without
+	// waiting for the slowest subscriber.
+	Restored func(name string) error
 }
 
 // Restore replaces every subscriber's state from a Snapshot map taken at
 // the given chain height (the number of blocks the snapshot covers).
 // Every registered subscriber must have a blob — a checkpoint written by
 // a node with a different subscriber set is rejected so the caller can
-// fall back to full replay. On success the accounting is reset and the
-// bus accepts the next publish at exactly height `height`.
-func (b *Bus) Restore(blobs map[string][]byte, height uint64) error {
+// fall back to full replay.
+//
+// The subscribers restore concurrently, one goroutine each, which is
+// safe because of the Subscriber contract: Restore touches only the
+// subscriber's own state. Restore waits for all of them. If any fail,
+// it returns the error of the first failing subscriber in registration
+// order, and the bus's head and accounting are left as they were (the
+// subscribers' own state is then undefined, and the caller must discard
+// it). On success the accounting is reset and the bus accepts the next
+// publish at exactly height `height`.
+func (b *Bus) Restore(blobs map[string][]byte, height uint64, opts RestoreOptions) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, e := range b.subs {
@@ -284,10 +324,25 @@ func (b *Bus) Restore(blobs map[string][]byte, height uint64) error {
 			return fmt.Errorf("%w: no snapshot for %s", ErrUnknownSubscriber, e.sub.Name())
 		}
 	}
-	for _, e := range b.subs {
-		if err := e.sub.Restore(blobs[e.sub.Name()]); err != nil {
-			return fmt.Errorf("commitbus: restore %s: %w", e.sub.Name(), err)
+	err := b.each(func(_ int, e *entry) error {
+		name := e.sub.Name()
+		sp := opts.Span.Child("commitbus.restore")
+		sp.SetAttr("subscriber", name)
+		err := e.sub.Restore(blobs[name])
+		if err != nil {
+			sp.SetAttr("error", err.Error())
 		}
+		sp.End()
+		if err != nil {
+			return fmt.Errorf("commitbus: restore %s: %w", name, err)
+		}
+		if opts.Restored != nil {
+			return opts.Restored(name)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	b.events = 0
 	if height == 0 {
@@ -302,6 +357,28 @@ func (b *Bus) Restore(blobs map[string][]byte, height uint64) error {
 			e.lastHeight = height - 1
 		} else {
 			e.lastHeight = 0
+		}
+	}
+	return nil
+}
+
+// each runs fn for every subscriber, each in its own goroutine, waits
+// for all of them, and returns the first error in registration order.
+// Caller holds b.mu.
+func (b *Bus) each(fn func(i int, e *entry) error) error {
+	errs := make([]error, len(b.subs))
+	var wg sync.WaitGroup
+	for i, e := range b.subs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i, e)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil

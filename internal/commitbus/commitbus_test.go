@@ -3,9 +3,13 @@ package commitbus
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/telemetry"
 )
 
 // recorder is a test subscriber accumulating the heights it saw.
@@ -170,7 +174,7 @@ func TestBusSnapshotRestoreRoundtrip(t *testing.T) {
 	if err := b2.Register(r2); err != nil {
 		t.Fatal(err)
 	}
-	if err := b2.Restore(blobs, 4); err != nil {
+	if err := b2.Restore(blobs, 4, RestoreOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := r2.seen(); len(got) != 4 {
@@ -196,7 +200,7 @@ func TestBusRestoreRejectsMissingSubscriber(t *testing.T) {
 	if err := b.Register(newRecorder("present")); err != nil {
 		t.Fatal(err)
 	}
-	err := b.Restore(map[string][]byte{"other": nil}, 1)
+	err := b.Restore(map[string][]byte{"other": nil}, 1, RestoreOptions{})
 	if !errors.Is(err, ErrUnknownSubscriber) {
 		t.Fatalf("err=%v want ErrUnknownSubscriber", err)
 	}
@@ -225,4 +229,122 @@ func TestBusConcurrentStatsReads(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// faulty is a recorder whose Snapshot and Restore fail after a delay.
+type faulty struct {
+	*recorder
+	delay time.Duration
+	err   error
+}
+
+func (f *faulty) Snapshot() ([]byte, error) {
+	time.Sleep(f.delay)
+	return nil, f.err
+}
+
+func (f *faulty) Restore([]byte) error {
+	time.Sleep(f.delay)
+	return f.err
+}
+
+// TestBusRestoreFailureOrderAndNoSideEffects: with two failing
+// subscribers, the concurrent restore reports the one registered first
+// even when the later one fails sooner, and a failed restore leaves the
+// bus's head and accounting exactly as they were.
+func TestBusRestoreFailureOrderAndNoSideEffects(t *testing.T) {
+	b := New()
+	slow := &faulty{recorder: newRecorder("slow"), delay: 30 * time.Millisecond, err: errors.New("slow broke")}
+	fast := &faulty{recorder: newRecorder("fast"), err: errors.New("fast broke")}
+	flaky := newRecorder("flaky")
+	flaky.failAt[1] = errors.New("lagging")
+	for _, s := range []Subscriber{newRecorder("ok"), slow, fast, flaky} {
+		if err := b.Register(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for h := 0; h < 3; h++ {
+		_ = b.Publish(CommitEvent{Height: uint64(h)})
+	}
+	head, primed := b.Head()
+	stats := b.Stats()
+
+	blobs := map[string][]byte{"ok": nil, "slow": nil, "fast": nil, "flaky": nil}
+	err := b.Restore(blobs, 10, RestoreOptions{})
+	if err == nil || !strings.Contains(err.Error(), "slow broke") {
+		t.Fatalf("err = %v, want the first registered failure (slow)", err)
+	}
+	if h, p := b.Head(); h != head || p != primed {
+		t.Fatalf("head after failed restore = %d/%v, want %d/%v", h, p, head, primed)
+	}
+	if got := b.Stats(); !reflect.DeepEqual(got, stats) {
+		t.Fatalf("stats after failed restore = %+v, want %+v", got, stats)
+	}
+	if err := b.Publish(CommitEvent{Height: 3}); err != nil {
+		t.Fatalf("bus did not resume at its old head: %v", err)
+	}
+
+	if _, err := b.Snapshot(); err == nil || !strings.Contains(err.Error(), "slow broke") {
+		t.Fatalf("snapshot err = %v, want the first registered failure (slow)", err)
+	}
+}
+
+// TestBusRestoreHookAndSpans: Restored runs once per subscriber after
+// its restore succeeds, its error fails the restore, and every
+// subscriber's restore is traced as a child of the given span.
+func TestBusRestoreHookAndSpans(t *testing.T) {
+	b := New()
+	names := []string{"a", "b", "c"}
+	for _, n := range names {
+		if err := b.Register(newRecorder(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blobs := map[string][]byte{"a": nil, "b": nil, "c": nil}
+	tr := telemetry.NewTracer(0)
+	root := tr.Start("restore")
+	var mu sync.Mutex
+	seen := map[string]int{}
+	err := b.Restore(blobs, 5, RestoreOptions{Span: root, Restored: func(name string) error {
+		mu.Lock()
+		defer mu.Unlock()
+		seen[name]++
+		return nil
+	}})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seen, map[string]int{"a": 1, "b": 1, "c": 1}) {
+		t.Fatalf("Restored calls = %v", seen)
+	}
+	if h, ok := b.Head(); h != 4 || !ok {
+		t.Fatalf("head = %d/%v, want 4", h, ok)
+	}
+	traced := map[string]bool{}
+	for _, sp := range tr.Spans() {
+		if sp.Name == "commitbus.restore" && sp.Parent == root.ID() {
+			for _, a := range sp.Attrs {
+				if a.Key == "subscriber" {
+					traced[a.Value] = true
+				}
+			}
+		}
+	}
+	if len(traced) != len(names) {
+		t.Fatalf("restore spans for %v, want %v", traced, names)
+	}
+
+	err = b.Restore(blobs, 9, RestoreOptions{Restored: func(name string) error {
+		if name == "b" {
+			return errors.New("root mismatch")
+		}
+		return nil
+	}})
+	if err == nil || !strings.Contains(err.Error(), "root mismatch") {
+		t.Fatalf("hook error not reported: %v", err)
+	}
+	if h, _ := b.Head(); h != 4 {
+		t.Fatalf("failed hook moved head to %d", h)
+	}
 }

@@ -216,6 +216,30 @@ func (m *Mempool) Add(t *Tx) error {
 	return nil
 }
 
+// NextNonce returns the nonce a new transaction from sender should
+// carry: the chain's next nonce, advanced past the sender's contiguous
+// run of pending transactions. A second signer for the same key (a
+// restarted component in the same process) thereby continues after the
+// transactions its predecessor left pending, instead of reusing their
+// nonces and having its own transactions pruned as stale.
+func (m *Mempool) NextNonce(sender string) uint64 {
+	next := uint64(0)
+	if m.chain != nil {
+		next = m.chain.NextNonce(sender)
+	}
+	lane := m.laneOf(sender)
+	lane.mu.Lock()
+	defer lane.mu.Unlock()
+	pending := make(map[uint64]bool, len(lane.bySender[sender]))
+	for _, t := range lane.bySender[sender] {
+		pending[t.Nonce] = true
+	}
+	for pending[next] {
+		next++
+	}
+	return next
+}
+
 // Size returns the number of pending transactions.
 func (m *Mempool) Size() int {
 	return int(m.count.Load())

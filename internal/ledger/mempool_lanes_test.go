@@ -123,3 +123,26 @@ func TestMempoolLanesConcurrentAdd(t *testing.T) {
 		t.Fatalf("batch=%d want 400", got)
 	}
 }
+
+// TestMempoolNextNonceSkipsPending: the next nonce for a sender starts at
+// the chain's and advances past the sender's contiguous pending run, but
+// not across a gap.
+func TestMempoolNextNonceSkipsPending(t *testing.T) {
+	mp := NewMempoolLanes(NewMemChain(), 0, 4)
+	kp := signer("nonce-sender")
+	sender := kp.Address().String()
+	if got := mp.NextNonce(sender); got != 0 {
+		t.Fatalf("empty pool next nonce %d, want 0", got)
+	}
+	for _, n := range []uint64{0, 1, 3} {
+		if err := mp.Add(mustTx(t, kp, n, "k", strconv.FormatUint(n, 10))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := mp.NextNonce(sender); got != 2 {
+		t.Fatalf("next nonce %d, want 2 (after pending 0,1; 3 is past a gap)", got)
+	}
+	if got := mp.NextNonce(signer("other").Address().String()); got != 0 {
+		t.Fatalf("unrelated sender next nonce %d, want 0", got)
+	}
+}

@@ -1,14 +1,24 @@
 package platform
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/contract"
 	"repro/internal/corpus"
 	"repro/internal/ledger"
 	"repro/internal/ranking"
+	"repro/internal/search"
+	"repro/internal/supplychain"
+	"repro/internal/telemetry"
 )
 
 // runWorkload drives a varied block sequence: seeded facts, published
@@ -301,4 +311,221 @@ func TestOpenFallsBackWhenCheckpointBeyondLog(t *testing.T) {
 	if root != head.Header.StateRoot {
 		t.Fatal("recovered state root does not match surviving head block")
 	}
+}
+
+// restoreCount reads trustnews_checkpoint_restore_total for one result.
+func restoreCount(t *testing.T, reg *telemetry.Registry, result string) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	prefix := `trustnews_checkpoint_restore_total{result="` + result + `"} `
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.HasPrefix(line, prefix) {
+			return strings.TrimPrefix(line, prefix)
+		}
+	}
+	return "0"
+}
+
+// TestOpenReportsRestoreOutcome: a checkpoint restore is counted and
+// traced (one span per subscriber plus the root check under
+// platform.restore), and a corrupted checkpoint is counted as a fallback
+// that still reopens to the same head and state root.
+func TestOpenReportsRestoreOutcome(t *testing.T) {
+	dir := t.TempDir()
+	p, closeFn, err := Open(dir, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWorkload(t, p, 8)
+	if err := p.WriteCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	head := p.Chain().HeadID()
+	root, err := p.Engine().StateRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := len(p.Bus().Subscribers())
+	closeFn()
+
+	cfg := DefaultConfig()
+	cfg.Telemetry = telemetry.New()
+	fast, closeFast, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeFast()
+	if fast.CheckpointHeight() == 0 {
+		t.Fatal("checkpoint restore not taken")
+	}
+	if got := restoreCount(t, cfg.Telemetry, "checkpoint"); got != "1" {
+		t.Fatalf("checkpoint restores = %s, want 1", got)
+	}
+	spans := cfg.Telemetry.Tracer().Spans()
+	var restoreID telemetry.SpanID
+	for _, sp := range spans {
+		if sp.Name == "platform.restore" {
+			restoreID = sp.ID
+		}
+	}
+	children := map[string]int{}
+	for _, sp := range spans {
+		if restoreID != 0 && sp.Parent == restoreID {
+			children[sp.Name]++
+		}
+	}
+	if children["commitbus.restore"] != subs || children["platform.state_root_check"] != 1 {
+		t.Fatalf("platform.restore children = %v, want %d commitbus.restore and one root check", children, subs)
+	}
+
+	path := filepath.Join(dir, checkpointName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0xff
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Telemetry = telemetry.New()
+	slow, closeSlow, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeSlow()
+	if got := restoreCount(t, cfg.Telemetry, "fallback"); got != "1" {
+		t.Fatalf("fallbacks = %s, want 1", got)
+	}
+	if got := restoreCount(t, cfg.Telemetry, "checkpoint"); got != "0" {
+		t.Fatalf("checkpoint restores after corruption = %s, want 0", got)
+	}
+	root2, err := slow.Engine().StateRoot()
+	if slow.CheckpointHeight() != 0 || slow.Chain().HeadID() != head || err != nil || root2 != root {
+		t.Fatalf("fallback reopen: checkpoint %d head %s root %s (err %v), want 0 %s %s",
+			slow.CheckpointHeight(), slow.Chain().HeadID(), root2, err, head, root)
+	}
+}
+
+// v1Checkpoint is the checkpoint payload of format 01 (TNCKPT01): the
+// same fields, gob-encoded, with JSON and gob subscriber blobs.
+type v1Checkpoint struct {
+	Height      uint64
+	HeadID      string
+	StateHash   string
+	Chain       []byte
+	Subscribers map[string][]byte
+}
+
+// writeV1Checkpoint writes p's derived state as a format-01 checkpoint:
+// the search index, receipts and graph in their JSON and gob encodings
+// of that format, the other blobs as they are today.
+func writeV1Checkpoint(t *testing.T, p *Platform, path string) {
+	t.Helper()
+	p.FlushSearch()
+	blobs, err := p.Bus().Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := p.Graph().Items()
+	if blobs[supplychain.GraphSubscriberName], err = json.Marshal(items); err != nil {
+		t.Fatal(err)
+	}
+	type v1Doc struct {
+		ID     string `json:"id"`
+		Topic  string `json:"topic"`
+		Length int32  `json:"length"`
+	}
+	type v1Posting struct {
+		Doc int32 `json:"d"`
+		TF  int32 `json:"f"`
+	}
+	var index struct {
+		Docs     []v1Doc                `json:"docs"`
+		Postings map[string][]v1Posting `json:"postings"`
+	}
+	index.Postings = map[string][]v1Posting{}
+	for i, it := range items {
+		toks := corpus.Tokenize(it.Text)
+		index.Docs = append(index.Docs, v1Doc{ID: it.ID, Topic: string(it.Topic), Length: int32(len(toks))})
+		tf := map[string]int32{}
+		for _, tok := range toks {
+			tf[tok]++
+		}
+		for term, n := range tf {
+			index.Postings[term] = append(index.Postings[term], v1Posting{Doc: int32(i), TF: n})
+		}
+	}
+	if blobs[search.SubscriberName], err = json.Marshal(index); err != nil {
+		t.Fatal(err)
+	}
+	var recs struct{ Receipts []contract.Receipt }
+	if err := p.Chain().Walk(0, func(b *ledger.Block) bool {
+		for _, tx := range b.Txs {
+			if rec, ok := p.Receipt(tx.ID()); ok {
+				recs.Receipts = append(recs.Receipts, rec)
+			}
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(recs); err != nil {
+		t.Fatal(err)
+	}
+	blobs[receiptsSubscriberName] = buf.Bytes()
+
+	chainSnap, err := p.chain.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := p.Engine().StateRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(v1Checkpoint{
+		Height: p.Chain().Height(), HeadID: p.Chain().HeadID().String(), StateHash: root.String(),
+		Chain: chainSnap, Subscribers: blobs,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	frame := []byte("TNCKPT01")
+	frame = binary.BigEndian.AppendUint32(frame, uint32(payload.Len()))
+	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload.Bytes()))
+	if err := os.WriteFile(path, append(frame, payload.Bytes()...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenFallsBackFromV1Checkpoint: a checkpoint of the previous format
+// is not misread: Open falls back to full replay, counts the fallback,
+// and reopens to exactly the derived state of the node that wrote it.
+func TestOpenFallsBackFromV1Checkpoint(t *testing.T) {
+	dir := t.TempDir()
+	writer, closeWriter, err := Open(dir, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeWriter()
+	runWorkload(t, writer, 12)
+	writeV1Checkpoint(t, writer, filepath.Join(dir, checkpointName))
+
+	cfg := DefaultConfig()
+	cfg.Telemetry = telemetry.New()
+	p, closeFn, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeFn()
+	if p.CheckpointHeight() != 0 {
+		t.Fatalf("v1 checkpoint restored (height %d)", p.CheckpointHeight())
+	}
+	if got := restoreCount(t, cfg.Telemetry, "fallback"); got != "1" {
+		t.Fatalf("fallbacks = %s, want 1", got)
+	}
+	assertSameDerivedState(t, p, writer)
 }

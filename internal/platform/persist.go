@@ -3,11 +3,15 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"log"
 	"path/filepath"
+	"strconv"
 
+	"repro/internal/commitbus"
 	"repro/internal/ledger"
 	"repro/internal/merkle"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
 // Durable deployment: a platform whose chain is backed by the
@@ -53,33 +57,42 @@ func Open(dir string, cfg Config) (*Platform, func() error, error) {
 	if cfg.BlobDir == "" {
 		cfg.BlobDir = filepath.Join(dir, "blobs")
 	}
-	log, err := store.OpenFileLog(filepath.Join(dir, chainLogName))
+	wal, err := store.OpenFileLog(filepath.Join(dir, chainLogName))
 	if err != nil {
 		return nil, nil, err
 	}
-	if cp, err := store.ReadCheckpoint(filepath.Join(dir, checkpointName)); err == nil {
-		if p, err := openFromCheckpoint(dir, cfg, log, cp); err == nil {
-			return p, log.Close, nil
+	restores := cfg.Telemetry.CounterVec("trustnews_checkpoint_restore_total",
+		"Reopens with a checkpoint present, by outcome: restored from it, or fell back to full replay.", "result")
+	cp, err := store.ReadCheckpoint(filepath.Join(dir, checkpointName))
+	if err == nil {
+		var p *Platform
+		if p, err = openFromCheckpoint(dir, cfg, wal, cp); err == nil {
+			restores.With("checkpoint").Inc()
+			return p, wal.Close, nil
 		}
+	}
+	if !errors.Is(err, store.ErrNotFound) {
+		restores.With("fallback").Inc()
+		log.Printf("platform: %s: checkpoint not used, replaying the whole chain: %v", dir, err)
 	}
 
 	// Full replay: decode, validate and re-execute every block, with the
 	// replay's body validation fanned across the verification pipeline.
-	chain, err := ledger.NewChainVerified(log, newVerifier(cfg))
+	chain, err := ledger.NewChainVerified(wal, newVerifier(cfg))
 	if err != nil {
-		log.Close()
+		wal.Close()
 		return nil, nil, fmt.Errorf("platform: reopen chain: %w", err)
 	}
 	p, err := newDurable(dir, cfg, chain)
 	if err != nil {
-		log.Close()
+		wal.Close()
 		return nil, nil, err
 	}
 	if err := p.replayFrom(0); err != nil {
-		log.Close()
+		wal.Close()
 		return nil, nil, fmt.Errorf("platform: replay: %w", err)
 	}
-	return p, log.Close, nil
+	return p, wal.Close, nil
 }
 
 // openFromCheckpoint attempts the fast reopen path: rebuild the chain
@@ -87,20 +100,34 @@ func Open(dir string, cfg Config) (*Platform, func() error, error) {
 // restore every subscriber blob, verify the restored contract state
 // against both the checkpoint hash and the committed block header, then
 // replay just the tail. Any error means the caller must fall back to the
-// full-replay path; nothing here mutates the log.
-func openFromCheckpoint(dir string, cfg Config, log *store.FileLog, cp *store.Checkpoint) (*Platform, error) {
-	chain, err := ledger.NewChainFromSnapshotVerified(log, cp.Chain, newVerifier(cfg))
+// full-replay path; nothing here mutates the log. The attempt is traced
+// as one platform.restore span.
+func openFromCheckpoint(dir string, cfg Config, wal *store.FileLog, cp *store.Checkpoint) (p *Platform, err error) {
+	sp := cfg.Telemetry.Tracer().Start("platform.restore")
+	sp.SetAttr("height", strconv.FormatUint(cp.Height, 10))
+	defer func() {
+		if err != nil {
+			sp.SetAttr("error", err.Error())
+		}
+		sp.End()
+	}()
+	chainSp := sp.Child("ledger.open_from_snapshot")
+	chain, err := ledger.NewChainFromSnapshotVerified(wal, cp.Chain, newVerifier(cfg))
+	chainSp.End()
 	if err != nil {
 		return nil, err
 	}
-	p, err := newDurable(dir, cfg, chain)
+	if p, err = newDurable(dir, cfg, chain); err != nil {
+		return nil, err
+	}
+	if err := p.restoreCheckpoint(cp, sp); err != nil {
+		return nil, err
+	}
+	tail := sp.Child("platform.replay_tail")
+	tail.SetAttr("blocks", strconv.FormatUint(chain.Height()-cp.Height, 10))
+	err = p.replayFrom(cp.Height)
+	tail.End()
 	if err != nil {
-		return nil, err
-	}
-	if err := p.restoreCheckpoint(cp); err != nil {
-		return nil, err
-	}
-	if err := p.replayFrom(cp.Height); err != nil {
 		return nil, fmt.Errorf("platform: replay tail: %w", err)
 	}
 	return p, nil
@@ -130,10 +157,13 @@ func newDurable(dir string, cfg Config, chain *ledger.Chain) (*Platform, error) 
 }
 
 // restoreCheckpoint verifies a checkpoint against the reopened chain and
-// hands every commit-bus subscriber its snapshot. Any failure returns an
-// error with the platform in an undefined derived state — the caller
-// must discard it and fall back to full replay.
-func (p *Platform) restoreCheckpoint(cp *store.Checkpoint) error {
+// hands every commit-bus subscriber its snapshot. The subscribers restore
+// concurrently, and the contract-state root is checked as soon as the
+// contract state is back, while the slower indexes are still decoding.
+// Each subscriber's restore and the root check get a child span of sp.
+// Any failure returns an error with the platform in an undefined derived
+// state — the caller must discard it and fall back to full replay.
+func (p *Platform) restoreCheckpoint(cp *store.Checkpoint, sp *telemetry.Span) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if cp.Height > p.chain.Height() {
@@ -156,21 +186,35 @@ func (p *Platform) restoreCheckpoint(cp *store.Checkpoint) error {
 			wantRoot = blk.Header.StateRoot.String()
 		}
 	}
-	if err := p.bus.Restore(cp.Subscribers, cp.Height); err != nil {
-		return err
-	}
 	// The restored contract state must hash to both the checkpoint's
 	// recorded root and the root committed in the block header at the
 	// checkpoint height — the same double-entry the full replay enforces.
-	root, err := p.engine.StateRoot()
+	checkRoot := func() error {
+		rs := sp.Child("platform.state_root_check")
+		defer rs.End()
+		root, err := p.engine.StateRoot()
+		if err != nil {
+			return fmt.Errorf("platform: restored state root: %w", err)
+		}
+		if root.String() != cp.StateHash {
+			return fmt.Errorf("platform: restored state root %s does not match checkpoint %s", root.String(), cp.StateHash)
+		}
+		if wantRoot != "" && root.String() != wantRoot {
+			return fmt.Errorf("platform: restored state root %s does not match block header %s", root.String(), wantRoot)
+		}
+		return nil
+	}
+	err := p.bus.Restore(cp.Subscribers, cp.Height, commitbus.RestoreOptions{
+		Span: sp,
+		Restored: func(name string) error {
+			if name != stateSubscriberName {
+				return nil
+			}
+			return checkRoot()
+		},
+	})
 	if err != nil {
-		return fmt.Errorf("platform: restored state root: %w", err)
-	}
-	if root.String() != cp.StateHash {
-		return fmt.Errorf("platform: restored state root %s does not match checkpoint %s", root.String(), cp.StateHash)
-	}
-	if wantRoot != "" && root.String() != wantRoot {
-		return fmt.Errorf("platform: restored state root %s does not match block header %s", root.String(), wantRoot)
+		return err
 	}
 	p.ckptHeight = cp.Height
 	return nil

@@ -961,9 +961,8 @@ func (a *Actor) Key() *keys.KeyPair { return a.kp }
 func (a *Actor) Send(kind string, payload []byte) (*ledger.Tx, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	committed := a.p.chain.NextNonce(a.kp.Address().String())
-	if committed > a.n {
-		a.n = committed
+	if next := a.p.pool.NextNonce(a.kp.Address().String()); next > a.n {
+		a.n = next
 	}
 	tx, err := ledger.NewTx(a.kp, a.n, kind, payload)
 	if err != nil {

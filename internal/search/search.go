@@ -93,16 +93,16 @@ type Page struct {
 // docInfo is the per-document bookkeeping the ranker needs. Documents
 // are immutable once committed, so entries are write-once.
 type docInfo struct {
-	ID     string `json:"id"`
-	Topic  string `json:"topic"`
-	Length int32  `json:"length"` // token count, for length normalisation
+	ID     string
+	Topic  string
+	Length int32 // token count, for length normalisation
 }
 
 // posting is one (document, term-frequency) pair. Documents are
 // referenced by their dense internal index into the doc table.
 type posting struct {
-	Doc int32 `json:"d"`
-	TF  int32 `json:"f"`
+	Doc int32
+	TF  int32
 }
 
 // segment is an immutable sealed batch of postings. Once published in a
@@ -189,13 +189,16 @@ func NewSharded(shards int) *Index {
 }
 
 // shardFor hashes a term onto its shard.
-func (x *Index) shardFor(term string) *shard {
+func (x *Index) shardFor(term string) *shard { return x.shards[x.shardIndex(term)] }
+
+// shardIndex is the position in x.shards of a term's shard.
+func (x *Index) shardIndex(term string) int {
 	if len(x.shards) == 1 {
-		return x.shards[0]
+		return 0
 	}
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(term))
-	return x.shards[h.Sum32()%uint32(len(x.shards))]
+	return int(h.Sum32() % uint32(len(x.shards)))
 }
 
 // Add indexes one document. Re-adding an id is a no-op (documents are
@@ -467,81 +470,4 @@ func (x *Index) QueryPage(q string, ranker Ranker, offset, limit int) Page {
 		out = out[:limit]
 	}
 	return Page{Total: total, Offset: offset, Results: out}
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot / restore.
-// ---------------------------------------------------------------------------
-
-// indexSnapshot is the self-contained serialized index: the doc table
-// in internal order plus merged, doc-sorted posting lists. The format
-// is independent of shard count and segment layout, so a snapshot
-// written by one node restores bit-identically on another regardless
-// of how either arranged its segments.
-type indexSnapshot struct {
-	Docs     []docInfo            `json:"docs"`
-	Postings map[string][]posting `json:"postings"`
-}
-
-// snapshot captures the published index state (callers must have
-// Refreshed; the platform flushes the indexer before checkpointing).
-func (x *Index) snapshot() indexSnapshot {
-	x.wmu.Lock()
-	x.refreshLocked()
-	docs := x.docs.Load()
-	x.wmu.Unlock()
-	snap := indexSnapshot{
-		Docs:     append([]docInfo(nil), docs.infos...),
-		Postings: make(map[string][]posting),
-	}
-	for _, sh := range x.shards {
-		for _, seg := range sh.view.Load().segments {
-			for term, ps := range seg.postings {
-				snap.Postings[term] = append(snap.Postings[term], ps...)
-			}
-		}
-	}
-	for term := range snap.Postings {
-		ps := snap.Postings[term]
-		sort.Slice(ps, func(i, j int) bool { return ps[i].Doc < ps[j].Doc })
-	}
-	return snap
-}
-
-// reset replaces the index state wholesale from a snapshot: the doc
-// table is restored in internal order and every shard gets its postings
-// back as a single sealed segment.
-func (x *Index) reset(snap indexSnapshot) {
-	x.wmu.Lock()
-	defer x.wmu.Unlock()
-	x.byID = make(map[string]int32, len(snap.Docs))
-	x.infos = append([]docInfo(nil), snap.Docs...)
-	x.totalLen = 0
-	x.memDocs = 0
-	for i, d := range x.infos {
-		x.byID[d.ID] = int32(i)
-		x.totalLen += int64(d.Length)
-	}
-	perShard := make(map[*shard]map[string][]posting)
-	for term, ps := range snap.Postings {
-		sh := x.shardFor(term)
-		m := perShard[sh]
-		if m == nil {
-			m = make(map[string][]posting)
-			perShard[sh] = m
-		}
-		m[term] = append([]posting(nil), ps...)
-	}
-	x.docs.Store(&docsView{infos: x.infos[:len(x.infos):len(x.infos)], totalLen: x.totalLen})
-	for _, sh := range x.shards {
-		sh.mu.Lock()
-		sh.mem = make(map[string][]posting)
-		sh.memDocs = 0
-		if m := perShard[sh]; m != nil {
-			sh.view.Store(&shardView{segments: []*segment{{postings: m, docs: len(x.infos)}}})
-		} else {
-			sh.view.Store(&shardView{})
-		}
-		sh.mu.Unlock()
-	}
 }

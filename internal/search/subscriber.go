@@ -207,22 +207,21 @@ func (s *Subscriber) Stats() IndexerStats {
 // first, so the blob captures exactly the documents committed so far.
 func (s *Subscriber) Snapshot() ([]byte, error) {
 	s.Flush()
-	return json.Marshal(s.Index.snapshot())
+	return s.Index.encodeSnapshot(), nil
 }
 
-// Restore implements commitbus.Subscriber.
+// Restore implements commitbus.Subscriber. A blob that fails to decode
+// leaves the index untouched.
 func (s *Subscriber) Restore(data []byte) error {
 	s.Flush()
-	var snap indexSnapshot
-	if len(data) > 0 {
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return fmt.Errorf("search: decode index snapshot: %w", err)
-		}
+	snap, err := s.Index.decodeSnapshot(data)
+	if err != nil {
+		return fmt.Errorf("search: decode index snapshot: %w", err)
 	}
 	s.mu.Lock()
 	s.queue = nil
 	s.indexed, s.errs, s.lastErr = 0, 0, ""
 	s.mu.Unlock()
-	s.Index.reset(snap)
+	s.Index.install(snap)
 	return nil
 }

@@ -1,9 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -91,6 +94,7 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 		"flipped payload byte": append(append([]byte{}, raw[:len(raw)-3]...), raw[len(raw)-3]^0xff, raw[len(raw)-2], raw[len(raw)-1]),
 		"truncated":            raw[:len(raw)/2],
 		"bad magic":            append([]byte("XXXXXXXX"), raw[8:]...),
+		"older format":         append([]byte("TNCKPT01"), raw[8:]...),
 		"empty":                {},
 	}
 	for name, mutated := range cases {
@@ -101,4 +105,52 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 			t.Fatalf("%s: err=%v want ErrCorrupt", name, err)
 		}
 	}
+}
+
+// TestCheckpointNamesOtherFormat: a checkpoint of another format version
+// is reported as such, not as an unrelated file.
+func TestCheckpointNamesOtherFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "checkpoint.ckpt")
+	raw := encodeCheckpoint(testCheckpoint())
+	copy(raw, "TNCKPT01")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadCheckpoint(path)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "format 01, this build reads 02") {
+		t.Fatalf("err=%v", err)
+	}
+}
+
+// FuzzCheckpointPayload: decoding an arbitrary payload never panics, and
+// any payload that decodes re-encodes to a payload that decodes to the
+// same checkpoint and encodes to the same bytes.
+func FuzzCheckpointPayload(f *testing.F) {
+	frame := len(checkpointMagic) + 8
+	f.Add([]byte{})
+	f.Add(encodeCheckpoint(&Checkpoint{})[frame:])
+	f.Add(encodeCheckpoint(testCheckpoint())[frame:])
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		cp, err := decodeCheckpoint(payload)
+		if err != nil {
+			return
+		}
+		first := encodeCheckpoint(cp)
+		again, err := decodeCheckpoint(first[frame:])
+		if err != nil {
+			t.Fatalf("re-decoding an encoded checkpoint: %v", err)
+		}
+		if again.Height != cp.Height || again.HeadID != cp.HeadID || again.StateHash != cp.StateHash ||
+			!bytes.Equal(again.Chain, cp.Chain) || len(again.Subscribers) != len(cp.Subscribers) {
+			t.Fatalf("round trip changed the checkpoint: %+v vs %+v", again, cp)
+		}
+		for name, blob := range cp.Subscribers {
+			if !bytes.Equal(again.Subscribers[name], blob) {
+				t.Fatalf("blob %q changed", name)
+			}
+		}
+		if second := encodeCheckpoint(again); !reflect.DeepEqual(first, second) {
+			t.Fatal("encode → decode → encode differs")
+		}
+	})
 }

@@ -132,19 +132,19 @@ func (g *Graph) Items() []Item {
 	return out
 }
 
-// Reset replaces the graph contents with the given items, added in order.
+// Reset replaces the graph contents with the given items, added in
+// order. If any item fails to add, the graph is left unchanged.
 func (g *Graph) Reset(items []Item) error {
-	g.mu.Lock()
-	g.items = make(map[string]*Item, len(items))
-	g.children = make(map[string][]string)
-	g.order = nil
-	g.hopSim = make(map[edgeKey]float64)
-	g.mu.Unlock()
+	fresh := NewGraph(g.facts)
+	fresh.items = make(map[string]*Item, len(items))
 	for _, it := range items {
-		if err := g.AddItem(it); err != nil {
+		if err := fresh.AddItem(it); err != nil {
 			return err
 		}
 	}
+	g.mu.Lock()
+	g.items, g.children, g.order, g.hopSim = fresh.items, fresh.children, fresh.order, fresh.hopSim
+	g.mu.Unlock()
 	return nil
 }
 

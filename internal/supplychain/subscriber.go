@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/commitbus"
 	"repro/internal/corpus"
+	"repro/internal/store"
 )
 
 // Commit-bus subscriber names (stable: they key checkpoint blobs).
@@ -70,18 +71,94 @@ func (s *GraphSubscriber) OnCommit(ev commitbus.CommitEvent) error {
 	return nil
 }
 
-// Snapshot implements commitbus.Subscriber.
+// Snapshot implements commitbus.Subscriber. The blob is a uvarint item
+// count followed by the items in insertion order:
+//
+//	id, topic, text, cid, varint size, creator,
+//	uvarint parents, parents × uvarint index, op, uvarint height
+//
+// Strings are uvarint-length-prefixed. A parent is written as its
+// position in the item sequence, which must be earlier than the child's,
+// so a snapshot can only describe a graph whose parents precede their
+// children.
 func (s *GraphSubscriber) Snapshot() ([]byte, error) {
-	return json.Marshal(s.Graph.Items())
+	items := s.Graph.Items()
+	pos := make(map[string]int, len(items))
+	size := 8
+	for i, it := range items {
+		pos[it.ID] = i
+		size += len(it.ID) + len(it.Topic) + len(it.Text) + len(it.CID) + len(it.Creator) + len(it.Op) + 16 + 4*len(it.Parents)
+	}
+	w := store.NewSnapWriter(size)
+	w.Uvarint(uint64(len(items)))
+	for _, it := range items {
+		w.Str(it.ID)
+		w.Str(string(it.Topic))
+		w.Str(it.Text)
+		w.Str(it.CID)
+		w.Varint(int64(it.Size))
+		w.Str(it.Creator)
+		w.Uvarint(uint64(len(it.Parents)))
+		for _, p := range it.Parents {
+			w.Uvarint(uint64(pos[p]))
+		}
+		w.Str(string(it.Op))
+		w.Uvarint(it.Height)
+	}
+	return w.Data(), nil
 }
 
-// Restore implements commitbus.Subscriber.
-func (s *GraphSubscriber) Restore(data []byte) error {
-	var items []Item
-	if len(data) > 0 {
-		if err := json.Unmarshal(data, &items); err != nil {
-			return fmt.Errorf("supplychain: decode graph snapshot: %w", err)
+// decodeGraph parses a graph snapshot into its items, in insertion
+// order. It rejects parent indexes that do not point to an earlier item,
+// and trailing bytes. An empty blob holds no items.
+func decodeGraph(data []byte) ([]Item, error) {
+	if len(data) == 0 {
+		return nil, nil
+	}
+	r := store.NewSnapReader(data)
+	// An item takes at least ten bytes: nine empty fields and a size.
+	items := make([]Item, r.Count(10))
+	topics := make(map[string]corpus.Topic)
+	for i := 0; i < len(items) && r.Err() == nil; i++ {
+		it := &items[i]
+		it.ID = r.Str()
+		raw := r.Fixed(r.Count(1))
+		topic, ok := topics[string(raw)]
+		if !ok {
+			topic = corpus.Topic(raw)
+			topics[string(topic)] = topic
 		}
+		it.Topic = topic
+		it.Text = r.Str()
+		it.CID = r.Str()
+		it.Size = int(r.Varint())
+		it.Creator = r.Str()
+		if np := r.Count(1); np > 0 {
+			it.Parents = make([]string, np)
+		}
+		for j := range it.Parents {
+			p := r.Uvarint()
+			if p >= uint64(i) {
+				r.Fail("item %d parent %d: index %d is not an earlier item", i, j, p)
+				break
+			}
+			it.Parents[j] = items[p].ID
+		}
+		it.Op = corpus.Op(r.Str())
+		it.Height = r.Uvarint()
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return items, nil
+}
+
+// Restore implements commitbus.Subscriber. A failed restore leaves the
+// graph untouched.
+func (s *GraphSubscriber) Restore(data []byte) error {
+	items, err := decodeGraph(data)
+	if err != nil {
+		return fmt.Errorf("supplychain: decode graph snapshot: %w", err)
 	}
 	return s.Graph.Reset(items)
 }
