@@ -125,17 +125,6 @@ func BenchmarkE10ConsensusScalability(b *testing.B) {
 	}
 }
 
-func BenchmarkE10ParallelExecution(b *testing.B) {
-	cfg := experiments.DefaultE10()
-	cfg.ParallelTxs = 256
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunE10Parallel(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkE11TextDetection(b *testing.B) {
 	cfg := experiments.DefaultE11()
 	cfg.Factual, cfg.Fake = 400, 400
@@ -379,20 +368,6 @@ func BenchmarkE22IngestSearch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunE22(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE23ShardLanes(b *testing.B) {
-	cfg := experiments.DefaultE23()
-	cfg.Shards = []int{1, 4}
-	cfg.CrossPcts = []int{0, 50}
-	cfg.Senders, cfg.BlocksPerSender = 128, 2
-	cfg.WorkRounds = 150
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunE23(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,11 @@
-// Command benchrunner regenerates every experiment table (E1-E12) from
-// DESIGN.md's index and prints them. Run with -quick for reduced sizes or
-// -only E5 to run a single experiment. With -json the same tables are
-// also written as machine-readable JSON (e.g. BENCH_3.json), so the perf
-// trajectory can be tracked per-PR without parsing the pretty tables.
+// Command benchrunner regenerates every experiment table in DESIGN.md's
+// index and prints them. Run with -quick for reduced sizes or -only E5 to
+// run a single experiment; an -only id that names no experiment is an
+// error. With -json the same tables are also written as machine-readable
+// JSON (e.g. BENCH_3.json), stamped with the CPU count, GOMAXPROCS, Go
+// version and, when the binary carries it, the VCS revision it was built
+// from, so the perf trajectory can be tracked per change without parsing
+// the pretty tables.
 //
 //	go run ./cmd/benchrunner                     # full sweep (a few minutes)
 //	go run ./cmd/benchrunner -quick              # reduced sizes (~30s)
@@ -15,6 +18,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
+	"sort"
 	"strings"
 	"time"
 
@@ -45,7 +51,35 @@ type jsonResult struct {
 // jsonDump is the top-level envelope of the -json file.
 type jsonDump struct {
 	Quick   bool         `json:"quick"`
+	Env     jsonEnv      `json:"env"`
 	Results []jsonResult `json:"results"`
+}
+
+// jsonEnv records the machine and build the tables were measured on, so
+// timings from different dumps can be told apart.
+type jsonEnv struct {
+	NumCPU     int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go"`
+	// Revision is the VCS commit the binary was built from; empty when
+	// the build carries none (e.g. go run outside a checkout).
+	Revision string `json:"revision,omitempty"`
+}
+
+func currentEnv() jsonEnv {
+	env := jsonEnv{
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, kv := range bi.Settings {
+			if kv.Key == "vcs.revision" {
+				env.Revision = kv.Value
+			}
+		}
+	}
+	return env
 }
 
 type runner struct {
@@ -54,13 +88,82 @@ type runner struct {
 }
 
 func run(quick bool, only, jsonPath string) error {
+	selected, err := selectRunners(allRunners(), only)
+	if err != nil {
+		return err
+	}
+	dump := jsonDump{Quick: quick, Env: currentEnv(), Results: []jsonResult{}}
+	for _, r := range selected {
+		start := time.Now()
+		tbl, err := r.fn(quick)
+		if err != nil {
+			return fmt.Errorf("%s: %w", r.id, err)
+		}
+		elapsed := time.Since(start)
+		tbl.Render(os.Stdout)
+		fmt.Printf("(%s completed in %v)\n", r.id, elapsed.Round(time.Millisecond))
+		dump.Results = append(dump.Results, jsonResult{
+			ID:      tbl.ID,
+			Title:   tbl.Title,
+			Claim:   tbl.Claim,
+			Header:  tbl.Header,
+			Rows:    tbl.Rows,
+			Seconds: elapsed.Seconds(),
+		})
+	}
+	if jsonPath != "" {
+		blob, err := json.MarshalIndent(dump, "", "  ")
+		if err != nil {
+			return fmt.Errorf("marshal json dump: %w", err)
+		}
+		if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
+			return fmt.Errorf("write %s: %w", jsonPath, err)
+		}
+		fmt.Printf("wrote %s (%d experiments)\n", jsonPath, len(dump.Results))
+	}
+	return nil
+}
+
+// selectRunners keeps the runners named by the comma-separated only
+// list (all of them when it is empty). An id matches a runner by its
+// exact id or by its family without the variant suffix ("E10" selects
+// E10A and E10C). An id that matches nothing is an error, so a typo or
+// a removed experiment never yields an empty run that looks like success.
+func selectRunners(runners []runner, only string) ([]runner, error) {
 	want := map[string]bool{}
 	for _, id := range strings.Split(only, ",") {
 		if id = strings.TrimSpace(strings.ToUpper(id)); id != "" {
 			want[id] = true
 		}
 	}
-	runners := []runner{
+	if len(want) == 0 {
+		return runners, nil
+	}
+	matched := map[string]bool{}
+	var out []runner
+	for _, r := range runners {
+		family := strings.TrimRight(r.id, "ABCW")
+		if want[r.id] || want[family] {
+			matched[r.id], matched[family] = true, true
+			out = append(out, r)
+		}
+	}
+	var unknown []string
+	for id := range want {
+		if !matched[id] {
+			unknown = append(unknown, id)
+		}
+	}
+	if len(unknown) > 0 {
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("unknown experiment ids: %s", strings.Join(unknown, ", "))
+	}
+	return out, nil
+}
+
+// allRunners lists every experiment in run order.
+func allRunners() []runner {
+	return []runner{
 		{"E1", func(q bool) (*experiments.Table, error) {
 			cfg := experiments.DefaultE1()
 			if q {
@@ -137,9 +240,6 @@ func run(quick bool, only, jsonPath string) error {
 				cfg.Blocks = 3
 			}
 			return experiments.RunE10Consensus(cfg)
-		}},
-		{"E10B", func(q bool) (*experiments.Table, error) {
-			return experiments.RunE10Parallel(experiments.DefaultE10())
 		}},
 		{"E10C", func(q bool) (*experiments.Table, error) {
 			cfg := experiments.DefaultE10c()
@@ -239,48 +339,5 @@ func run(quick bool, only, jsonPath string) error {
 			}
 			return experiments.RunE22(cfg)
 		}},
-		{"E23", func(q bool) (*experiments.Table, error) {
-			cfg := experiments.DefaultE23()
-			if q {
-				cfg.Shards = []int{1, 4}
-				cfg.CrossPcts = []int{0, 50}
-				cfg.Senders, cfg.BlocksPerSender = 128, 2
-				cfg.WorkRounds = 150
-			}
-			return experiments.RunE23(cfg)
-		}},
 	}
-	dump := jsonDump{Quick: quick, Results: []jsonResult{}}
-	for _, r := range runners {
-		if len(want) > 0 && !want[r.id] && !want[strings.TrimRight(r.id, "ABCW")] {
-			continue
-		}
-		start := time.Now()
-		tbl, err := r.fn(quick)
-		if err != nil {
-			return fmt.Errorf("%s: %w", r.id, err)
-		}
-		elapsed := time.Since(start)
-		tbl.Render(os.Stdout)
-		fmt.Printf("(%s completed in %v)\n", r.id, elapsed.Round(time.Millisecond))
-		dump.Results = append(dump.Results, jsonResult{
-			ID:      tbl.ID,
-			Title:   tbl.Title,
-			Claim:   tbl.Claim,
-			Header:  tbl.Header,
-			Rows:    tbl.Rows,
-			Seconds: elapsed.Seconds(),
-		})
-	}
-	if jsonPath != "" {
-		blob, err := json.MarshalIndent(dump, "", "  ")
-		if err != nil {
-			return fmt.Errorf("marshal json dump: %w", err)
-		}
-		if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", jsonPath, err)
-		}
-		fmt.Printf("wrote %s (%d experiments)\n", jsonPath, len(dump.Results))
-	}
-	return nil
 }

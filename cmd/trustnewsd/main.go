@@ -76,10 +76,6 @@ type options struct {
 	listen        string
 	peers         string
 	blockInterval time.Duration
-
-	// Block execution scheduler.
-	parallelExec bool
-	shards       int
 }
 
 func main() {
@@ -97,8 +93,6 @@ func main() {
 	flag.StringVar(&o.listen, "listen", "", "consensus TCP listen address (default: this node's -peers entry)")
 	flag.StringVar(&o.peers, "peers", "", "full validator address map, id=host:port comma-separated, self included")
 	flag.DurationVar(&o.blockInterval, "block-interval", 200*time.Millisecond, "cluster block pacing (consensus commit timeout)")
-	flag.BoolVar(&o.parallelExec, "parallel-exec", false, "execute blocks with the optimistic parallel scheduler (ignored when -shards > 1)")
-	flag.IntVar(&o.shards, "shards", 1, "partition contract state into this many execution lanes (1 = single lane; state roots are shard-count independent)")
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -116,15 +110,10 @@ func run(ctx context.Context, o options) error {
 		p   *platform.Platform
 		err error
 	)
-	if o.shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", o.shards)
-	}
 	cfg := platform.DefaultConfig()
 	// The daemon always carries a live registry: metrics cost next to
 	// nothing and /v1/metrics is part of the serving surface.
 	cfg.Telemetry = telemetry.New()
-	cfg.ParallelExec = o.parallelExec
-	cfg.Shards = o.shards
 	// Production nodes always run with admission control: shed excess
 	// load with 429s before queues grow instead of timing out under it.
 	cfg.Admission = admission.DefaultConfig()

@@ -38,7 +38,7 @@ func TestGracefulShutdownFlushesCheckpoint(t *testing.T) {
 		// seed-demo commits fact blocks, so there is chain state to
 		// checkpoint; the periodic loop is disabled to prove the final
 		// flush alone covers it.
-		done <- run(ctx, options{addr: addr, seedDemo: true, corpusSeed: 1, dataDir: dir, shards: 1})
+		done <- run(ctx, options{addr: addr, seedDemo: true, corpusSeed: 1, dataDir: dir})
 	}()
 
 	url := fmt.Sprintf("http://%s/v1/chain", addr)

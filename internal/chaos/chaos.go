@@ -64,11 +64,6 @@ type Config struct {
 	PumpBatch int
 	// Timeouts overrides consensus timeouts (zero = defaults).
 	Timeouts consensus.Timeouts
-	// Shards, when > 1, runs every replica with the shard-lane execution
-	// scheduler (platform.Config.Shards): the no-fork and durability
-	// invariants must hold identically, since lane execution keeps state
-	// roots byte-identical to serial.
-	Shards int
 }
 
 // Harness owns a durable cluster and the invariant-checking state.
@@ -116,7 +111,6 @@ func New(cfg Config) (*Harness, error) {
 	}
 	pcfg := platform.DefaultConfig()
 	pcfg.Telemetry = reg
-	pcfg.Shards = cfg.Shards
 	cluster, err := platform.NewDurableCluster(platform.DurableClusterConfig{
 		Validators: cfg.Validators,
 		Seed:       cfg.Seed,

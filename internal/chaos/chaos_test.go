@@ -236,42 +236,6 @@ func TestScenarioChurn(t *testing.T) {
 	}
 }
 
-// TestScenarioShardedLanes runs the restart-under-load scenario with the
-// shard-lane execution scheduler enabled on every replica: lane
-// execution must keep state roots byte-identical to serial, so the
-// no-fork invariant (and recovery replay, which re-executes through the
-// same scheduler) must hold exactly as in the single-lane runs.
-func TestScenarioShardedLanes(t *testing.T) {
-	h := newHarness(t, Config{
-		Validators: 4,
-		Seed:       9,
-		CertWindow: 16,
-		PumpEvery:  40 * time.Millisecond,
-		Shards:     4,
-	})
-	if err := h.RunFor(500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Checkpoint(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Crash(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.RunFor(400 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Restart(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.WaitConverge(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if h.CommittedHeight() == 0 {
-		t.Fatal("no blocks committed under sharded lanes")
-	}
-}
-
 // TestChaosDeterministicFingerprint runs the identical churn schedule
 // twice with the same seed and requires bit-identical outcomes: same
 // commit history, same replica heights, same network fault counters.

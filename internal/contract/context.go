@@ -32,20 +32,18 @@ type writeOp struct {
 	deleted bool
 }
 
-// overlay buffers reads and writes over a base KV, recording read/write
-// sets for the optimistic parallel scheduler.
+// overlay buffers one transaction's writes over the committed state, so
+// the transaction reads its own writes and a failed one applies nothing.
 type overlay struct {
-	base   store.KV
+	base   *store.MemKV
 	writes map[string]writeOp
-	reads  map[string]bool
 }
 
-func newOverlay(base store.KV) *overlay {
-	return &overlay{base: base, writes: make(map[string]writeOp), reads: make(map[string]bool)}
+func newOverlay(base *store.MemKV) *overlay {
+	return &overlay{base: base, writes: make(map[string]writeOp)}
 }
 
 func (o *overlay) get(key string) ([]byte, error) {
-	o.reads[key] = true
 	if op, ok := o.writes[key]; ok {
 		if op.deleted {
 			return nil, fmt.Errorf("%w: key %q", store.ErrNotFound, key)
@@ -68,9 +66,6 @@ func (o *overlay) del(key string) {
 }
 
 func (o *overlay) keys(prefix string) ([]string, error) {
-	// A prefix scan reads the whole range: record it as a read of the
-	// prefix itself; the scheduler treats prefix reads conservatively.
-	o.reads[prefix+"*"] = true
 	baseKeys, err := o.base.Keys(prefix)
 	if err != nil {
 		return nil, err

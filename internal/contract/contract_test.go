@@ -7,11 +7,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/keys"
 	"repro/internal/ledger"
+	"repro/internal/store"
 )
 
 // counterContract is a minimal test contract: "add" increments a named
@@ -310,174 +310,6 @@ func blockOf(t testing.TB, txs []*ledger.Tx) *ledger.Block {
 	return ledger.NewBlock(1, ledger.BlockID{}, [32]byte{}, time.Unix(0, 0).UTC(), keys.Address{}, txs)
 }
 
-func TestParallelMatchesSerialDisjointKeys(t *testing.T) {
-	mkTxs := func() []*ledger.Tx {
-		var txs []*ledger.Tx
-		for i := 0; i < 50; i++ {
-			kp := keys.FromSeed([]byte("user" + strconv.Itoa(i)))
-			tx, _ := ledger.NewTx(kp, 0, "counter.add", []byte("c"+strconv.Itoa(i)+":1"))
-			txs = append(txs, tx)
-		}
-		return txs
-	}
-	serial := newTestEngine(t)
-	serialRecs := serial.ExecuteBlock(blockOf(t, mkTxs()))
-	par := newTestEngine(t)
-	parRecs, stats := par.ExecuteBlockParallel(blockOf(t, mkTxs()), 8)
-	if stats.Conflicts != 0 {
-		t.Fatalf("disjoint keys produced %d conflicts", stats.Conflicts)
-	}
-	rs, _ := serial.StateRoot()
-	rp, _ := par.StateRoot()
-	if rs != rp {
-		t.Fatal("parallel state diverges from serial")
-	}
-	for i := range serialRecs {
-		if serialRecs[i].OK != parRecs[i].OK {
-			t.Fatalf("receipt %d diverges", i)
-		}
-	}
-}
-
-func TestParallelMatchesSerialWithConflicts(t *testing.T) {
-	mkTxs := func() []*ledger.Tx {
-		var txs []*ledger.Tx
-		for i := 0; i < 40; i++ {
-			kp := keys.FromSeed([]byte("user" + strconv.Itoa(i)))
-			// Everyone hammers the same counter: total conflicts.
-			tx, _ := ledger.NewTx(kp, 0, "counter.add", []byte("shared:1"))
-			txs = append(txs, tx)
-		}
-		return txs
-	}
-	serial := newTestEngine(t)
-	serial.ExecuteBlock(blockOf(t, mkTxs()))
-	par := newTestEngine(t)
-	_, stats := par.ExecuteBlockParallel(blockOf(t, mkTxs()), 8)
-	if stats.Conflicts == 0 {
-		t.Fatal("expected conflicts on a shared counter")
-	}
-	rs, _ := serial.StateRoot()
-	rp, _ := par.StateRoot()
-	if rs != rp {
-		t.Fatal("parallel state diverges from serial under conflicts")
-	}
-	// The shared counter must equal 40 — conflicts must not lose updates.
-	kp := keys.FromSeed([]byte("user0"))
-	out, err := par.Query(kp.Address(), "counter.get", []byte("shared"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.BigEndian.Uint64(out); got != 40 {
-		t.Fatalf("shared=%d want 40 (lost updates)", got)
-	}
-}
-
-func TestParallelPrefixReadConflicts(t *testing.T) {
-	// A "sum" tx reads the whole namespace, so any concurrent writer
-	// conflicts with it; result must equal serial execution.
-	var txs []*ledger.Tx
-	for i := 0; i < 10; i++ {
-		kp := keys.FromSeed([]byte("w" + strconv.Itoa(i)))
-		tx, _ := ledger.NewTx(kp, 0, "counter.add", []byte("k"+strconv.Itoa(i)+":2"))
-		txs = append(txs, tx)
-	}
-	reader := keys.FromSeed([]byte("reader"))
-	sumTx, _ := ledger.NewTx(reader, 0, "counter.sum", nil)
-	txs = append(txs, sumTx)
-
-	serial := newTestEngine(t)
-	sRecs := serial.ExecuteBlock(blockOf(t, txs))
-	par := newTestEngine(t)
-	pRecs, _ := par.ExecuteBlockParallel(blockOf(t, txs), 4)
-	sSum := binary.BigEndian.Uint64(sRecs[len(sRecs)-1].Result)
-	pSum := binary.BigEndian.Uint64(pRecs[len(pRecs)-1].Result)
-	if sSum != 20 || pSum != 20 {
-		t.Fatalf("sum serial=%d parallel=%d want 20", sSum, pSum)
-	}
-}
-
-// Property: parallel execution always produces the same state root and
-// receipt outcomes as serial execution, for random workloads mixing shared
-// and private counters.
-func TestParallelEquivalenceProperty(t *testing.T) {
-	f := func(plan []uint8) bool {
-		if len(plan) > 64 {
-			plan = plan[:64]
-		}
-		mk := func() []*ledger.Tx {
-			var txs []*ledger.Tx
-			for i, p := range plan {
-				kp := keys.FromSeed([]byte("u" + strconv.Itoa(i)))
-				key := "shared"
-				if p%3 == 0 {
-					key = "private" + strconv.Itoa(i)
-				}
-				tx, _ := ledger.NewTx(kp, 0, "counter.add", []byte(key+":"+strconv.Itoa(int(p%7)+1)))
-				txs = append(txs, tx)
-			}
-			return txs
-		}
-		serial := NewEngine()
-		serial.Register(counterContract{})
-		sRecs := serial.ExecuteBlock(blockOf(t, mk()))
-		par := NewEngine()
-		par.Register(counterContract{})
-		pRecs, _ := par.ExecuteBlockParallel(blockOf(t, mk()), 8)
-		rs, _ := serial.StateRoot()
-		rp, _ := par.StateRoot()
-		if rs != rp {
-			return false
-		}
-		for i := range sRecs {
-			if sRecs[i].OK != pRecs[i].OK {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkSerialVsParallel(b *testing.B) {
-	mkTxs := func(n int, conflictPct int) []*ledger.Tx {
-		txs := make([]*ledger.Tx, n)
-		for i := 0; i < n; i++ {
-			kp := keys.FromSeed([]byte("u" + strconv.Itoa(i)))
-			key := "k" + strconv.Itoa(i)
-			if i%100 < conflictPct {
-				key = "shared"
-			}
-			tx, _ := ledger.NewTx(kp, 0, "counter.add", []byte(key+":1"))
-			txs[i] = tx
-		}
-		return txs
-	}
-	for _, mode := range []string{"serial", "parallel"} {
-		for _, conflictPct := range []int{0, 20, 80} {
-			b.Run(fmt.Sprintf("%s/conflict=%d%%", mode, conflictPct), func(b *testing.B) {
-				txs := mkTxs(256, conflictPct)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					e := NewEngine()
-					e.Register(counterContract{})
-					blk := blockOf(b, txs)
-					b.StartTimer()
-					if mode == "serial" {
-						e.ExecuteBlock(blk)
-					} else {
-						e.ExecuteBlockParallel(blk, 0)
-					}
-				}
-			})
-		}
-	}
-}
-
 func TestQueryUnknownContract(t *testing.T) {
 	e := newTestEngine(t)
 	if _, err := e.Query(keys.FromSeed([]byte("a")).Address(), "ghost.method", nil); err == nil {
@@ -529,5 +361,153 @@ func TestGasExhaustionInKeysScan(t *testing.T) {
 	rec := e.ExecuteTx(tx, 1)
 	if rec.OK || !strings.Contains(rec.Err, "out of gas") {
 		t.Fatalf("receipt: %+v", rec)
+	}
+}
+
+// rywContract runs a ';'-separated script against its own namespace and
+// returns what its reads saw: "put k v", "del k", "get k" (observes
+// "k=v", or "k=<nf>" on store.ErrNotFound), "keys" (observes the sorted
+// key list) and "fail" (aborts the transaction with an error).
+type rywContract struct{}
+
+func (rywContract) Name() string { return "ryw" }
+
+func (rywContract) Execute(ctx *Context, method string, args []byte) ([]byte, error) {
+	var seen []string
+	for _, op := range strings.Split(string(args), ";") {
+		f := strings.Fields(op)
+		switch {
+		case len(f) == 3 && f[0] == "put":
+			if err := ctx.Put(f[1], []byte(f[2])); err != nil {
+				return nil, err
+			}
+		case len(f) == 2 && f[0] == "del":
+			if err := ctx.Delete(f[1]); err != nil {
+				return nil, err
+			}
+		case len(f) == 2 && f[0] == "get":
+			v, err := ctx.Get(f[1])
+			switch {
+			case errors.Is(err, store.ErrNotFound):
+				seen = append(seen, f[1]+"=<nf>")
+			case err != nil:
+				return nil, err
+			default:
+				seen = append(seen, f[1]+"="+string(v))
+			}
+		case len(f) == 1 && f[0] == "keys":
+			ks, err := ctx.Keys("")
+			if err != nil {
+				return nil, err
+			}
+			seen = append(seen, "["+strings.Join(ks, " ")+"]")
+		case len(f) == 1 && f[0] == "fail":
+			return nil, errors.New("ryw: scripted failure")
+		default:
+			return nil, fmt.Errorf("ryw: bad op %q", op)
+		}
+	}
+	return []byte(strings.Join(seen, ",")), nil
+}
+
+// TestExecuteBlockReadYourWrites checks the per-transaction overlay on
+// the block path: a transaction reads its own puts and deletes, Keys
+// merges them over committed state, later transactions in the block see
+// the earlier ones' writes, and a failed transaction applies none of its
+// puts or deletes.
+func TestExecuteBlockReadYourWrites(t *testing.T) {
+	type step struct {
+		script string
+		wantOK bool
+		want   string // the receipt result: what the reads saw
+	}
+	cases := []struct {
+		name  string
+		seed  string // committed in an earlier block
+		steps []step // executed together as one block
+		// wantState maps each checked key to its committed value
+		// afterwards; "" means the key must be absent.
+		wantState map[string]string
+	}{
+		{
+			name:      "get after own put",
+			seed:      "put a old",
+			steps:     []step{{"put a new;get a", true, "a=new"}},
+			wantState: map[string]string{"a": "new"},
+		},
+		{
+			name:      "get after own delete",
+			seed:      "put a old",
+			steps:     []step{{"get a;del a;get a", true, "a=old,a=<nf>"}},
+			wantState: map[string]string{"a": ""},
+		},
+		{
+			name:      "put after own delete",
+			seed:      "put a old",
+			steps:     []step{{"del a;put a again;get a", true, "a=again"}},
+			wantState: map[string]string{"a": "again"},
+		},
+		{
+			name:      "keys lists own puts and hides own deletes",
+			seed:      "put a 1;put b 2",
+			steps:     []step{{"put c 3;del a;keys", true, "[b c]"}},
+			wantState: map[string]string{"a": "", "b": "2", "c": "3"},
+		},
+		{
+			name: "failed tx leaves deletes and puts unapplied",
+			seed: "put a old;put b old",
+			steps: []step{
+				{"del a;put b new;put c 1;get a;fail", false, ""},
+				{"get a;get b;get c;keys", true, "a=old,b=old,c=<nf>,[a b]"},
+			},
+			wantState: map[string]string{"a": "old", "b": "old", "c": ""},
+		},
+		{
+			name: "later tx sees earlier delete in the same block",
+			seed: "put a old",
+			steps: []step{
+				{"del a", true, ""},
+				{"get a;keys", true, "a=<nf>,[]"},
+			},
+			wantState: map[string]string{"a": ""},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			if err := e.Register(rywContract{}); err != nil {
+				t.Fatal(err)
+			}
+			kp := keys.FromSeed([]byte("ryw"))
+			if rec := execTx(t, e, kp, 0, "ryw.run", tc.seed); !rec.OK {
+				t.Fatalf("seed failed: %s", rec.Err)
+			}
+			txs := make([]*ledger.Tx, len(tc.steps))
+			for i, s := range tc.steps {
+				tx, err := ledger.NewTx(kp, uint64(i+1), "ryw.run", []byte(s.script))
+				if err != nil {
+					t.Fatal(err)
+				}
+				txs[i] = tx
+			}
+			recs := e.ExecuteBlock(blockOf(t, txs))
+			for i, s := range tc.steps {
+				if recs[i].OK != s.wantOK {
+					t.Fatalf("step %d ok=%v want %v (err %q)", i, recs[i].OK, s.wantOK, recs[i].Err)
+				}
+				if s.wantOK && string(recs[i].Result) != s.want {
+					t.Fatalf("step %d saw %q want %q", i, recs[i].Result, s.want)
+				}
+			}
+			for k, want := range tc.wantState {
+				v, err := e.State().Get("ryw/" + k)
+				switch {
+				case want == "" && !errors.Is(err, store.ErrNotFound):
+					t.Fatalf("key %s: want absent, got %q (err %v)", k, v, err)
+				case want != "" && (err != nil || string(v) != want):
+					t.Fatalf("key %s: got %q (err %v) want %q", k, v, err, want)
+				}
+			}
+		})
 	}
 }

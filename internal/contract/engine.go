@@ -1,15 +1,14 @@
 // Package contract implements the smart-contract engine that governs the
 // trusting-news platform: chaincode-style contracts written in Go execute
-// deterministically against a key-value state with gas metering, emit
-// events consumed by the supply-chain indexer, and can run either serially
-// or through an optimistic parallel scheduler.
+// deterministically against a key-value state with gas metering, and emit
+// events consumed by the supply-chain indexer.
 //
 // The paper leans on smart contracts throughout §V ("managed by various
-// smart contracts") and names scalable contract execution as a key
-// challenge in §VII, citing the authors' ICDCS 2018 work on transforming
-// blockchain into a distributed parallel computing architecture — the
-// parallel executor here reproduces that design and experiment E10
-// measures its speedup against the serial baseline.
+// smart contracts"). Blocks execute serially, one transaction at a time
+// in block order: on every benchmark workload a block carries one to a
+// few transactions and execution is a fraction of a percent of commit
+// time, so a parallel scheduler has nothing to fan out (EXPERIMENTS.md,
+// "Block execution: one serial executor").
 package contract
 
 import (
@@ -83,7 +82,7 @@ type Contract interface {
 type Engine struct {
 	mu        sync.RWMutex
 	contracts map[string]Contract
-	state     store.StateKV
+	state     *store.MemKV
 	gasLimit  uint64
 }
 
@@ -92,23 +91,6 @@ func NewEngine() *Engine {
 	return &Engine{
 		contracts: make(map[string]Contract),
 		state:     store.NewMemKV(),
-		gasLimit:  DefaultGasLimit,
-	}
-}
-
-// NewShardedEngine creates an engine whose state is physically
-// partitioned into n hash-routed shards with independent locks, the
-// state layout the shard-lane scheduler (ExecuteBlockSharded) executes
-// against. Logical contents, snapshots and state roots are identical to
-// a flat engine; only lock granularity changes. n <= 1 degrades to
-// NewEngine.
-func NewShardedEngine(n int) *Engine {
-	if n <= 1 {
-		return NewEngine()
-	}
-	return &Engine{
-		contracts: make(map[string]Contract),
-		state:     store.NewShardedKV(n),
 		gasLimit:  DefaultGasLimit,
 	}
 }
@@ -190,43 +172,37 @@ func splitKind(kind string) (string, string, error) {
 func (e *Engine) ExecuteTx(tx *ledger.Tx, height uint64) Receipt {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rec, ws := e.executeAgainst(newOverlay(e.state), tx, height)
-	if rec.OK {
-		applyWrites(e.state, ws)
-	}
-	return rec
+	return e.executeLocked(tx, height)
 }
 
-// ExecuteBlock runs every transaction in order (the serial executor),
-// returning one receipt per tx.
+// ExecuteBlock runs every transaction in block order, returning one
+// receipt per tx. Each transaction sees the writes of the ones before it.
 func (e *Engine) ExecuteBlock(b *ledger.Block) []Receipt {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := make([]Receipt, 0, len(b.Txs))
 	for _, tx := range b.Txs {
-		rec, ws := e.executeAgainst(newOverlay(e.state), tx, b.Header.Height)
-		if rec.OK {
-			applyWrites(e.state, ws)
-		}
-		out = append(out, rec)
+		out = append(out, e.executeLocked(tx, b.Header.Height))
 	}
 	return out
 }
 
-// executeAgainst runs tx against the given overlay and returns the receipt
-// plus the overlay's write set. Caller decides whether to apply.
-func (e *Engine) executeAgainst(ov *overlay, tx *ledger.Tx, height uint64) (Receipt, map[string]writeOp) {
+// executeLocked runs tx through a write overlay on the committed state
+// and applies the overlay only if the transaction succeeds. Caller holds
+// e.mu.
+func (e *Engine) executeLocked(tx *ledger.Tx, height uint64) Receipt {
 	rec := Receipt{TxID: tx.ID()}
 	name, method, err := splitKind(tx.Kind)
 	if err != nil {
 		rec.Err = err.Error()
-		return rec, nil
+		return rec
 	}
 	c, ok := e.contracts[name]
 	if !ok {
 		rec.Err = fmt.Sprintf("%v: %s", ErrUnknownContract, name)
-		return rec, nil
+		return rec
 	}
+	ov := newOverlay(e.state)
 	ctx := &Context{
 		Sender:   tx.Sender,
 		TxID:     tx.ID(),
@@ -239,12 +215,13 @@ func (e *Engine) executeAgainst(ov *overlay, tx *ledger.Tx, height uint64) (Rece
 	rec.GasUsed = ctx.gas.used
 	if err != nil {
 		rec.Err = err.Error()
-		return rec, nil
+		return rec
 	}
+	applyWrites(e.state, ov.writes)
 	rec.OK = true
 	rec.Result = result
 	rec.Events = ctx.events
-	return rec, ov.writes
+	return rec
 }
 
 // runSafely converts contract panics into errors so one bad contract
@@ -258,7 +235,7 @@ func runSafely(c Contract, ctx *Context, method string, args []byte) (result []b
 	return c.Execute(ctx, method, args)
 }
 
-func applyWrites(kv store.KV, ws map[string]writeOp) {
+func applyWrites(kv *store.MemKV, ws map[string]writeOp) {
 	// Sorted application keeps any downstream iteration deterministic.
 	ks := make([]string, 0, len(ws))
 	for k := range ws {

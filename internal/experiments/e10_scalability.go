@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"strconv"
 	"time"
 
 	"repro/internal/consensus"
-	"repro/internal/contract"
 	"repro/internal/keys"
 	"repro/internal/ledger"
 	"repro/internal/simnet"
@@ -18,13 +16,7 @@ type E10Config struct {
 	ValidatorCounts []int
 	Blocks          uint64
 	TxsPerBlock     int
-	// ConflictRates sweeps the parallel-executor ablation.
-	ConflictRates []int // percent of txs touching one shared key
-	ParallelTxs   int
-	Workers       int
-	// WorkRounds is the per-tx compute weight (sha256 chain length).
-	WorkRounds int
-	Seed       int64
+	Seed            int64
 }
 
 // DefaultE10 returns the standard configuration.
@@ -33,10 +25,6 @@ func DefaultE10() E10Config {
 		ValidatorCounts: []int{4, 8, 16, 32},
 		Blocks:          5,
 		TxsPerBlock:     20,
-		ConflictRates:   []int{0, 10, 50, 100},
-		ParallelTxs:     512,
-		Workers:         8,
-		WorkRounds:      400,
 		Seed:            10,
 	}
 }
@@ -132,101 +120,4 @@ func poaLatency(n int, cfg E10Config) (float64, error) {
 		}
 	}
 	return float64((net.Now() - start).Milliseconds()) / float64(cfg.Blocks), nil
-}
-
-// counterContract is the E10b workload: add-to-counter transactions whose
-// key determines the conflict rate. Each call also performs a fixed amount
-// of pure compute (hash chaining), standing in for the business logic a
-// real platform contract carries — JSON decoding, scoring, signature
-// checks — which is what parallel execution amortizes.
-type counterContract struct {
-	// workRounds is the per-tx compute weight (sha256 chain length).
-	workRounds int
-}
-
-func (counterContract) Name() string { return "ctr" }
-
-func (c counterContract) Execute(ctx *contract.Context, method string, args []byte) ([]byte, error) {
-	if method != "add" {
-		return nil, contract.ErrUnknownMethod
-	}
-	sum := sha256.Sum256(args)
-	for i := 0; i < c.workRounds; i++ {
-		sum = sha256.Sum256(sum[:])
-	}
-	key := string(args)
-	cur := 0
-	if raw, err := ctx.Get(key); err == nil {
-		cur = int(raw[0]) | int(raw[1])<<8
-	}
-	cur++
-	return nil, ctx.Put(key, []byte{byte(cur), byte(cur >> 8), sum[0]})
-}
-
-// RunE10Parallel measures the serial vs parallel contract executor as the
-// write-conflict rate grows — the ablation for the authors' ICDCS 2018
-// parallel-blockchain dependency.
-func RunE10Parallel(cfg E10Config) (*Table, error) {
-	t := &Table{
-		ID:     "E10b",
-		Title:  "Contract execution: parallel speedup vs conflict rate",
-		Claim:  "parallel contract execution scales blockchain throughput when workloads are disjoint",
-		Header: []string{"conflict_pct", "txs", "serial_ms", "parallel_ms", "wall_speedup", "modeled_speedup", "reexecuted"},
-	}
-	// wall_speedup is bounded by the host's physical cores (1.0x on a
-	// single-core machine); modeled_speedup is the critical-path model
-	// serial / (serial/workers + reexecution), i.e. what the scheduler
-	// achieves when cores >= workers. Both shrink as conflicts grow.
-	mkBlock := func(conflictPct int) (*ledger.Block, error) {
-		txs := make([]*ledger.Tx, cfg.ParallelTxs)
-		for i := range txs {
-			kp := keys.FromSeed([]byte("e10u" + strconv.Itoa(i)))
-			key := "k" + strconv.Itoa(i)
-			if i%100 < conflictPct {
-				key = "shared"
-			}
-			tx, err := ledger.NewTx(kp, 0, "ctr.add", []byte(key))
-			if err != nil {
-				return nil, err
-			}
-			txs[i] = tx
-		}
-		return ledger.NewBlock(0, ledger.BlockID{}, [32]byte{}, time.Unix(0, 0).UTC(), keys.Address{}, txs), nil
-	}
-	for _, pct := range cfg.ConflictRates {
-		blk, err := mkBlock(pct)
-		if err != nil {
-			return nil, err
-		}
-		serial := contract.NewEngine()
-		if err := serial.Register(counterContract{workRounds: cfg.WorkRounds}); err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		serial.ExecuteBlock(blk)
-		serialDt := time.Since(t0)
-
-		par := contract.NewEngine()
-		if err := par.Register(counterContract{workRounds: cfg.WorkRounds}); err != nil {
-			return nil, err
-		}
-		t0 = time.Now()
-		_, stats := par.ExecuteBlockParallel(blk, cfg.Workers)
-		parDt := time.Since(t0)
-
-		sr, _ := serial.StateRoot()
-		pr, _ := par.StateRoot()
-		if sr != pr {
-			return nil, fmt.Errorf("e10: parallel state diverged at conflict %d%%", pct)
-		}
-		perTx := float64(serialDt) / float64(cfg.ParallelTxs)
-		modeled := float64(serialDt) / (float64(serialDt)/float64(cfg.Workers) + perTx*float64(stats.Conflicts))
-		t.AddRow(d(pct), d(cfg.ParallelTxs),
-			f1(float64(serialDt.Microseconds())/1000),
-			f1(float64(parDt.Microseconds())/1000),
-			f3(float64(serialDt)/float64(parDt)),
-			f3(modeled),
-			d(stats.Conflicts))
-	}
-	return t, nil
 }

@@ -145,7 +145,7 @@ func newDurable(dir string, cfg Config, chain *ledger.Chain) (*Platform, error) 
 	// and its cache is warm with the tail's signatures), discarding the
 	// one New built for the throwaway empty chain.
 	p.verifier = chain.Verifier()
-	p.pool = ledger.NewMempoolLanes(chain, p.cfg.MempoolCapacity, p.cfg.Shards)
+	p.pool = ledger.NewMempool(chain, p.cfg.MempoolCapacity)
 	// The pool New built (and instrumented) was bound to the empty chain;
 	// re-instrument its replacement so durable nodes keep live mempool
 	// metrics. Registering the same families again is idempotent.
@@ -225,7 +225,7 @@ func (p *Platform) restoreCheckpoint(cp *store.Checkpoint, sp *telemetry.Span) e
 func (p *Platform) replayFrom(from uint64) error {
 	return p.chain.Walk(from, func(b *ledger.Block) bool {
 		p.mu.Lock()
-		recs := p.executeBlockLocked(b)
+		recs := p.engine.ExecuteBlock(b)
 		p.publishLocked(b, recs)
 		p.mu.Unlock()
 		return true

@@ -14,7 +14,6 @@ package platform
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -56,17 +55,6 @@ type Config struct {
 	// default scaled to MaxTxsPerBlock (at least 128 blocks' worth, never
 	// below 65536).
 	MempoolCapacity int
-	// ParallelExec uses the optimistic parallel executor for blocks.
-	ParallelExec bool
-	// Shards partitions contract state into this many key-hash shards and
-	// executes blocks through the shard-lane scheduler: single-shard
-	// transactions run concurrently lane-per-shard, cross-shard
-	// transactions sequence through deterministic barrier phases, and the
-	// mempool splits into as many sender-hash admission lanes. State
-	// roots stay byte-identical to serial execution whatever the value,
-	// so nodes with different shard counts interoperate. 0 or 1 keeps the
-	// single-lane path (ParallelExec then picks the optimistic executor).
-	Shards int
 	// Weights tunes the combined ranking mechanism.
 	Weights ranking.Weights
 	// CreatorReward is minted to an item's creator when it resolves
@@ -204,9 +192,6 @@ type Platform struct {
 	// tm holds the node's cached commit-path instrument handles (nil
 	// without Config.Telemetry; all methods are nil-safe).
 	tm platformMetrics
-	// exec accumulates execution-scheduler stats across every executed
-	// block (guarded by p.mu; read via ExecStats).
-	exec ExecStats
 	// tracer records commit spans (nil without Config.Telemetry).
 	tracer *telemetry.Tracer
 }
@@ -216,62 +201,6 @@ type platformMetrics struct {
 	commits   *telemetry.Counter
 	txs       *telemetry.Counter
 	commitSec *telemetry.Histogram
-	// Execution-scheduler instruments (trustnews_exec_*): populated for
-	// every executor; the lane/wave families only move under sharding.
-	execConflicts  *telemetry.Counter
-	execCrossShard *telemetry.Counter
-	execWaves      *telemetry.Counter
-	execBarriers   *telemetry.Counter
-	execWaveAborts *telemetry.Counter
-	execLaneTxs    *telemetry.CounterVec
-	conflictRate   *telemetry.Gauge
-	crossShardFrac *telemetry.Gauge
-}
-
-// ExecStats accumulates execution-scheduler behaviour across every block
-// this node executed (standalone commits, externally decided blocks and
-// replay). E23 reads it to report lane occupancy, conflict rate and
-// cross-shard fraction per sweep cell; the same numbers feed the
-// trustnews_exec_* metric families in /v1/metrics.
-type ExecStats struct {
-	// Blocks and Txs count executed blocks and transactions.
-	Blocks int
-	Txs    int
-	// Conflicts counts re-executed transactions (optimistic-executor
-	// conflicts plus lane and barrier re-executions under sharding).
-	Conflicts int
-	// CrossShardTxs counts transactions sequenced through barrier phases.
-	CrossShardTxs int
-	// Waves and Barriers count parallel and serial segments.
-	Waves    int
-	Barriers int
-	// WaveAborts counts waves that failed validation and re-ran serially.
-	WaveAborts int
-	// MaxLaneReexecSum accumulates each wave's deepest per-lane
-	// re-execution chain — the lane scheduler's critical path in units of
-	// transaction executions.
-	MaxLaneReexecSum int
-	// LaneTxs and LaneReexecs count per-lane occupancy and re-executions
-	// (empty until a sharded block executes).
-	LaneTxs     []int
-	LaneReexecs []int
-}
-
-// ConflictRate returns re-executions per executed transaction.
-func (s ExecStats) ConflictRate() float64 {
-	if s.Txs == 0 {
-		return 0
-	}
-	return float64(s.Conflicts) / float64(s.Txs)
-}
-
-// CrossShardFraction returns the fraction of transactions sequenced
-// through barrier phases.
-func (s ExecStats) CrossShardFraction() float64 {
-	if s.Txs == 0 {
-		return 0
-	}
-	return float64(s.CrossShardTxs) / float64(s.Txs)
 }
 
 // New creates a platform node with all contracts registered.
@@ -293,7 +222,7 @@ func New(cfg Config) (*Platform, error) {
 	}
 	p := &Platform{
 		cfg:       cfg,
-		engine:    contract.NewShardedEngine(cfg.Shards),
+		engine:    contract.NewEngine(),
 		chain:     ledger.NewMemChain(),
 		authority: keys.FromSeed([]byte(cfg.AuthoritySeed)),
 		factIndex: factdb.NewIndex(),
@@ -320,7 +249,7 @@ func New(cfg Config) (*Platform, error) {
 	} else {
 		p.blobs = blobstore.NewStore(cfg.BlobChunkSize)
 	}
-	p.pool = ledger.NewMempoolLanes(p.chain, cfg.MempoolCapacity, cfg.Shards)
+	p.pool = ledger.NewMempool(p.chain, cfg.MempoolCapacity)
 	if cfg.MaxTxPayloadBytes > 0 {
 		p.pool.SetMaxPayloadBytes(cfg.MaxTxPayloadBytes)
 	}
@@ -332,17 +261,9 @@ func New(cfg Config) (*Platform, error) {
 	p.bus.Instrument(cfg.Telemetry)
 	p.tracer = cfg.Telemetry.Tracer()
 	p.tm = platformMetrics{
-		commits:        cfg.Telemetry.Counter("trustnews_platform_commits_total", "Blocks committed by this node (standalone or replicated)."),
-		txs:            cfg.Telemetry.Counter("trustnews_platform_txs_committed_total", "Transactions inside committed blocks."),
-		commitSec:      cfg.Telemetry.Histogram("trustnews_platform_commit_seconds", "Wall time to execute, append and index one block.", nil),
-		execConflicts:  cfg.Telemetry.Counter("trustnews_exec_conflicts_total", "Transactions re-executed because speculation went stale (optimistic conflicts plus lane/barrier re-executions)."),
-		execCrossShard: cfg.Telemetry.Counter("trustnews_exec_cross_shard_txs_total", "Transactions sequenced through cross-shard barrier phases."),
-		execWaves:      cfg.Telemetry.Counter("trustnews_exec_waves_total", "Parallel lane segments executed by the shard scheduler."),
-		execBarriers:   cfg.Telemetry.Counter("trustnews_exec_barriers_total", "Serial cross-shard barrier segments executed."),
-		execWaveAborts: cfg.Telemetry.Counter("trustnews_exec_wave_aborts_total", "Waves whose lane results failed validation and re-ran serially."),
-		execLaneTxs:    cfg.Telemetry.CounterVec("trustnews_exec_lane_txs_total", "Transactions executed per shard lane (occupancy).", "lane"),
-		conflictRate:   cfg.Telemetry.Gauge("trustnews_exec_conflict_rate", "Re-executions per executed transaction (lifetime ratio)."),
-		crossShardFrac: cfg.Telemetry.Gauge("trustnews_exec_cross_shard_fraction", "Fraction of executed transactions sequenced through barriers (lifetime ratio)."),
+		commits:   cfg.Telemetry.Counter("trustnews_platform_commits_total", "Blocks committed by this node (standalone or replicated)."),
+		txs:       cfg.Telemetry.Counter("trustnews_platform_txs_committed_total", "Transactions inside committed blocks."),
+		commitSec: cfg.Telemetry.Histogram("trustnews_platform_commit_seconds", "Wall time to execute, append and index one block.", nil),
 	}
 	p.graph = supplychain.NewGraph(p.factIndex)
 	p.searchSub = search.NewSubscriber(p.searchIdx, p.resolveBody)
@@ -517,84 +438,6 @@ func (p *Platform) TrainClassifier(c aidetect.TextClassifier, train []corpus.Sta
 	return nil
 }
 
-// executeBlockLocked runs one block through the configured executor —
-// shard-lane scheduler (Shards > 1), optimistic parallel executor
-// (ParallelExec), or the serial baseline — and folds the scheduler's
-// stats into the node's accumulator and trustnews_exec_* metrics. All
-// three paths produce byte-identical state and receipts. Caller holds
-// p.mu.
-func (p *Platform) executeBlockLocked(b *ledger.Block) []contract.Receipt {
-	switch {
-	case p.cfg.Shards > 1:
-		recs, ss := p.engine.ExecuteBlockSharded(b, p.cfg.Shards, 0)
-		p.recordShardStatsLocked(ss)
-		return recs
-	case p.cfg.ParallelExec:
-		recs, ps := p.engine.ExecuteBlockParallel(b, 0)
-		p.recordParallelStatsLocked(ps)
-		return recs
-	default:
-		recs := p.engine.ExecuteBlock(b)
-		p.exec.Blocks++
-		p.exec.Txs += len(b.Txs)
-		return recs
-	}
-}
-
-// recordParallelStatsLocked folds one optimistic-executor run into the
-// node accumulator and metrics. Caller holds p.mu.
-func (p *Platform) recordParallelStatsLocked(ps contract.ParallelStats) {
-	p.exec.Blocks++
-	p.exec.Txs += ps.Txs
-	p.exec.Conflicts += ps.Conflicts
-	p.tm.execConflicts.Add(uint64(ps.Conflicts))
-	p.tm.conflictRate.Set(p.exec.ConflictRate())
-}
-
-// recordShardStatsLocked folds one shard-scheduler run into the node
-// accumulator and metrics. Caller holds p.mu.
-func (p *Platform) recordShardStatsLocked(ss contract.ShardStats) {
-	p.exec.Blocks++
-	p.exec.Txs += ss.Txs
-	p.exec.Conflicts += ss.Conflicts()
-	p.exec.CrossShardTxs += ss.CrossShardTxs
-	p.exec.Waves += ss.Waves
-	p.exec.Barriers += ss.Barriers
-	p.exec.WaveAborts += ss.WaveAborts
-	p.exec.MaxLaneReexecSum += ss.MaxLaneReexecSum
-	if len(p.exec.LaneTxs) < len(ss.LaneTxs) {
-		p.exec.LaneTxs = append(p.exec.LaneTxs, make([]int, len(ss.LaneTxs)-len(p.exec.LaneTxs))...)
-		p.exec.LaneReexecs = append(p.exec.LaneReexecs, make([]int, len(ss.LaneReexecs)-len(p.exec.LaneReexecs))...)
-	}
-	for i, n := range ss.LaneTxs {
-		p.exec.LaneTxs[i] += n
-		if n > 0 && p.tm.execLaneTxs != nil {
-			p.tm.execLaneTxs.With(strconv.Itoa(i)).Add(uint64(n))
-		}
-	}
-	for i, n := range ss.LaneReexecs {
-		p.exec.LaneReexecs[i] += n
-	}
-	p.tm.execConflicts.Add(uint64(ss.Conflicts()))
-	p.tm.execCrossShard.Add(uint64(ss.CrossShardTxs))
-	p.tm.execWaves.Add(uint64(ss.Waves))
-	p.tm.execBarriers.Add(uint64(ss.Barriers))
-	p.tm.execWaveAborts.Add(uint64(ss.WaveAborts))
-	p.tm.conflictRate.Set(p.exec.ConflictRate())
-	p.tm.crossShardFrac.Set(p.exec.CrossShardFraction())
-}
-
-// ExecStats returns a copy of the node's accumulated execution-scheduler
-// stats (lane slices deep-copied).
-func (p *Platform) ExecStats() ExecStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := p.exec
-	out.LaneTxs = append([]int(nil), p.exec.LaneTxs...)
-	out.LaneReexecs = append([]int(nil), p.exec.LaneReexecs...)
-	return out
-}
-
 // Submit verifies and enqueues a signed transaction. In cluster mode the
 // accepted transaction is also handed to the relay hook (SetOnSubmit) so
 // peer validators learn about it before their next proposal.
@@ -643,7 +486,7 @@ func (p *Platform) Commit() (*ledger.Block, []contract.Receipt, error) {
 	sp := p.tracer.Start("platform.commit")
 	blk := ledger.NewBlock(p.chain.Height(), p.chain.HeadID(), [32]byte{}, p.clock(), p.authority.Address(), txs)
 	exec := sp.Child("engine.execute")
-	recs := p.executeBlockLocked(blk)
+	recs := p.engine.ExecuteBlock(blk)
 	exec.End()
 	root, err := p.engine.StateRoot()
 	if err != nil {
@@ -697,7 +540,7 @@ func (p *Platform) ApplyExternalBlock(b *ledger.Block) error {
 		start = time.Now()
 	}
 	sp := p.tracer.Start("platform.applyExternalBlock")
-	recs := p.executeBlockLocked(b)
+	recs := p.engine.ExecuteBlock(b)
 	p.publishLocked(b, recs)
 	p.tm.commits.Inc()
 	p.tm.txs.Add(uint64(len(b.Txs)))

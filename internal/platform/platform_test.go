@@ -296,32 +296,6 @@ func TestExpertsFromLedger(t *testing.T) {
 	}
 }
 
-func TestParallelExecMatchesSerial(t *testing.T) {
-	run := func(parallel bool) [32]byte {
-		cfg := DefaultConfig()
-		cfg.ParallelExec = parallel
-		p, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.SeedFact("f1", corpus.TopicPolitics, factText)
-		for i := 0; i < 20; i++ {
-			a := p.NewActor("user" + strconv.Itoa(i))
-			if err := a.PublishNews("n"+strconv.Itoa(i), corpus.TopicPolitics, factText, nil, ""); err != nil {
-				t.Fatal(err)
-			}
-		}
-		root, err := p.Engine().StateRoot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return root
-	}
-	if run(false) != run(true) {
-		t.Fatal("parallel execution produced a different state root")
-	}
-}
-
 func TestCommitEmptyPoolIsNoop(t *testing.T) {
 	p := newPlatform(t)
 	blk, recs, err := p.Commit()
