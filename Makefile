@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: tier1 build vet test race race-hot chaos e2e loadgen-smoke bench-reopen
+.PHONY: tier1 build vet test race race-hot chaos e2e loadgen-smoke bench-reopen bench-train
 
 tier1: build vet race-hot chaos loadgen-smoke e2e race
 
@@ -46,3 +46,8 @@ chaos:
 # Reopen cost: full replay vs checkpoint restore (EXPERIMENTS.md E15b).
 bench-reopen:
 	$(GO) test -run NONE -bench 'BenchmarkOpen(Replay|Checkpoint)' -benchtime 5x .
+
+# Boot cost of the AI text classifier: logistic-regression training on
+# the 1,000-statement corpus every node trains on at startup.
+bench-train:
+	$(GO) test -run NONE -bench BenchmarkLogisticRegressionTrain -benchtime 20x ./internal/aidetect

@@ -145,9 +145,12 @@ func run(ctx context.Context, o options) error {
 	}
 	p.SetClock(time.Now) // live deployment: real block timestamps
 	gen := corpus.NewGenerator(o.corpusSeed)
-	if err := p.TrainClassifier(aidetect.NewLogisticRegression(), gen.Generate(500, 500).Statements); err != nil {
+	train := gen.Generate(500, 500).Statements
+	trainStart := time.Now()
+	if err := p.TrainClassifier(aidetect.NewLogisticRegression(), train); err != nil {
 		return err
 	}
+	trainTime := time.Since(trainStart)
 
 	clustered := o.nodeID != "" || o.peers != ""
 	if clustered && o.seedDemo {
@@ -203,7 +206,7 @@ func run(ctx context.Context, o options) error {
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("trustnewsd listening on %s (authority %s)", o.addr, p.Authority().Short())
+		log.Printf("trustnewsd listening on %s (authority %s, classifier trained in %s)", o.addr, p.Authority().Short(), trainTime.Round(time.Millisecond/10))
 		errCh <- srv.ListenAndServe()
 	}()
 	select {

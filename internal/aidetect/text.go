@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/corpus"
 )
@@ -181,19 +182,48 @@ func fnv32(s string) uint32 {
 	return h
 }
 
-// features extracts a sparse feature vector as index->value.
-func features(text string) map[int]float64 {
+// sparseVec is a feature vector sorted by strictly increasing index.
+// Dot products sum in index order, so a score is a pure function of the
+// text and the weights: every node that trains on the same corpus gets
+// the same bits.
+type sparseVec struct {
+	idx []int
+	val []float64
+}
+
+// dot returns w·v, summed in index order.
+func (v sparseVec) dot(w []float64) float64 {
+	var z float64
+	for k, i := range v.idx {
+		z += w[i] * v.val[k]
+	}
+	return z
+}
+
+// features extracts the sparse feature vector of text: the term
+// frequencies of its hashed unigrams and bigrams, then the emotion,
+// length, digit-share and bias features at hashDim and above.
+func features(text string) sparseVec {
 	grams := ngrams(text)
 	toks := corpus.Tokenize(text)
-	f := make(map[int]float64, len(grams)+handFeatures)
-	for _, t := range grams {
-		f[int(fnv32(t)%hashDim)] += 1
+	hashes := make([]int, len(grams))
+	for i, t := range grams {
+		hashes[i] = int(fnv32(t) % hashDim)
 	}
-	// Normalize term counts.
-	if len(grams) > 0 {
-		for k := range f {
-			f[k] /= float64(len(grams))
+	slices.Sort(hashes)
+	v := sparseVec{
+		idx: make([]int, 0, len(hashes)+handFeatures),
+		val: make([]float64, 0, len(hashes)+handFeatures),
+	}
+	// Merge runs of equal hashes into normalized term counts.
+	for start := 0; start < len(hashes); {
+		end := start + 1
+		for end < len(hashes) && hashes[end] == hashes[start] {
+			end++
 		}
+		v.idx = append(v.idx, hashes[start])
+		v.val = append(v.val, float64(end-start)/float64(len(grams)))
+		start = end
 	}
 	digits := 0
 	for _, t := range toks {
@@ -201,18 +231,21 @@ func features(text string) map[int]float64 {
 			digits++
 		}
 	}
-	f[hashDim+0] = corpus.EmotionScore(text)
-	f[hashDim+1] = math.Min(float64(len(toks))/40, 1)
+	v.idx = append(v.idx, hashDim+0, hashDim+1)
+	v.val = append(v.val, corpus.EmotionScore(text), math.Min(float64(len(toks))/40, 1))
 	if len(toks) > 0 {
-		f[hashDim+2] = float64(digits) / float64(len(toks))
+		v.idx = append(v.idx, hashDim+2)
+		v.val = append(v.val, float64(digits)/float64(len(toks)))
 	}
-	f[hashDim+3] = 1 // bias
-	return f
+	v.idx = append(v.idx, hashDim+3)
+	v.val = append(v.val, 1) // bias
+	return v
 }
 
 func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
 
-// Train implements TextClassifier.
+// Train implements TextClassifier. Each statement's features are
+// extracted once; the SGD epochs then run over those vectors.
 func (lr *LogisticRegression) Train(items []corpus.Statement) error {
 	if len(items) == 0 {
 		return ErrNoData
@@ -222,6 +255,10 @@ func (lr *LogisticRegression) Train(items []corpus.Statement) error {
 	}
 	if lr.LearnRate <= 0 {
 		lr.LearnRate = 0.2
+	}
+	vecs := make([]sparseVec, len(items))
+	for i, s := range items {
+		vecs[i] = features(s.Text)
 	}
 	lr.weights = make([]float64, hashDim+handFeatures)
 	// SGD must not see the items in a class-sorted order (the tail class
@@ -235,19 +272,14 @@ func (lr *LogisticRegression) Train(items []corpus.Statement) error {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		rate := lr.LearnRate / (1 + float64(epoch)*0.3)
 		for _, idx := range order {
-			s := items[idx]
-			f := features(s.Text)
-			var z float64
-			for i, v := range f {
-				z += lr.weights[i] * v
-			}
+			v := vecs[idx]
 			y := 0.0
-			if s.IsFake() {
+			if items[idx].IsFake() {
 				y = 1.0
 			}
-			g := sigmoid(z) - y
-			for i, v := range f {
-				lr.weights[i] -= rate * (g*v + lr.L2*lr.weights[i])
+			g := sigmoid(v.dot(lr.weights)) - y
+			for k, i := range v.idx {
+				lr.weights[i] -= rate * (g*v.val[k] + lr.L2*lr.weights[i])
 			}
 		}
 	}
@@ -260,11 +292,7 @@ func (lr *LogisticRegression) Score(text string) (float64, error) {
 	if !lr.trained {
 		return 0, ErrNotTrained
 	}
-	var z float64
-	for i, v := range features(text) {
-		z += lr.weights[i] * v
-	}
-	return sigmoid(z), nil
+	return sigmoid(features(text).dot(lr.weights)), nil
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 package aidetect
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/corpus"
@@ -180,6 +182,134 @@ func TestLRDeterministic(t *testing.T) {
 	}
 	if run() != run() {
 		t.Fatal("LR training not deterministic")
+	}
+}
+
+// probeTexts returns held-out statements plus edge cases (empty, numeric
+// only) for comparing two models' scores.
+func probeTexts() []string {
+	probe := []string{"", "2019 7341", "shocking rigged vote exposed"}
+	for _, s := range corpus.NewGenerator(99).Generate(50, 50).Statements {
+		probe = append(probe, s.Text)
+	}
+	return probe
+}
+
+func TestLogisticRegressionDeterministic(t *testing.T) {
+	c := corpus.NewGenerator(1).Generate(500, 500)
+	a, b := NewLogisticRegression(), NewLogisticRegression()
+	if err := a.Train(c.Statements); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Train(c.Statements); err != nil {
+		t.Fatal(err)
+	}
+	for i := range a.weights {
+		if math.Float64bits(a.weights[i]) != math.Float64bits(b.weights[i]) {
+			t.Fatalf("weight %d differs: %v vs %v", i, a.weights[i], b.weights[i])
+		}
+	}
+	for _, text := range probeTexts() {
+		sa, _ := a.Score(text)
+		sb, _ := b.Score(text)
+		if math.Float64bits(sa) != math.Float64bits(sb) {
+			t.Fatalf("score of %q differs: %v vs %v", text, sa, sb)
+		}
+	}
+}
+
+// referenceFeatures is the straightforward extractor: a map from the
+// hash of each joined n-gram string to its term frequency, plus the hand
+// features.
+func referenceFeatures(text string) map[int]float64 {
+	grams := ngrams(text)
+	toks := corpus.Tokenize(text)
+	f := make(map[int]float64)
+	for _, g := range grams {
+		f[int(fnv32(g)%hashDim)]++
+	}
+	for k := range f {
+		f[k] /= float64(len(grams))
+	}
+	digits := 0
+	for _, t := range toks {
+		if t[0] >= '0' && t[0] <= '9' {
+			digits++
+		}
+	}
+	f[hashDim+0] = corpus.EmotionScore(text)
+	f[hashDim+1] = math.Min(float64(len(toks))/40, 1)
+	if len(toks) > 0 {
+		f[hashDim+2] = float64(digits) / float64(len(toks))
+	}
+	f[hashDim+3] = 1
+	return f
+}
+
+// referenceDot sums w·f over f's indices in increasing order.
+func referenceDot(w []float64, f map[int]float64) float64 {
+	keys := make([]int, 0, len(f))
+	for k := range f {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	var z float64
+	for _, k := range keys {
+		z += w[k] * f[k]
+	}
+	return z
+}
+
+// referenceTrain is LogisticRegression.Train without the extract-once
+// step: it re-extracts every statement's features in every epoch.
+func referenceTrain(lr *LogisticRegression, items []corpus.Statement) []float64 {
+	w := make([]float64, hashDim+handFeatures)
+	rng := rand.New(rand.NewSource(42))
+	order := make([]int, len(items))
+	for i := range order {
+		order[i] = i
+	}
+	for epoch := 0; epoch < lr.Epochs; epoch++ {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		rate := lr.LearnRate / (1 + float64(epoch)*0.3)
+		for _, n := range order {
+			f := referenceFeatures(items[n].Text)
+			y := 0.0
+			if items[n].IsFake() {
+				y = 1.0
+			}
+			g := sigmoid(referenceDot(w, f)) - y
+			for i, v := range f {
+				w[i] -= rate * (g*v + lr.L2*w[i])
+			}
+		}
+	}
+	return w
+}
+
+func TestLogisticRegressionMatchesReference(t *testing.T) {
+	train, _ := trainTest(t, 7, 300, 300)
+	lr := NewLogisticRegression()
+	if err := lr.Train(train); err != nil {
+		t.Fatal(err)
+	}
+	ref := referenceTrain(NewLogisticRegression(), train)
+	for _, text := range probeTexts() {
+		got, _ := lr.Score(text)
+		want := sigmoid(referenceDot(ref, referenceFeatures(text)))
+		if math.Abs(got-want) > 1e-9 {
+			t.Fatalf("score of %q = %v, reference %v", text, got, want)
+		}
+	}
+}
+
+func BenchmarkLogisticRegressionTrain(b *testing.B) {
+	c := corpus.NewGenerator(1).Generate(500, 500)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lr := NewLogisticRegression()
+		lr.Train(c.Statements)
 	}
 }
 

@@ -27,9 +27,10 @@ import (
 //     O(chain length);
 //   - full replay: execute every block through the contract engine (the
 //     original behaviour), used when no checkpoint exists or the
-//     checkpoint fails any verification step. Replay also re-verifies the
-//     chain's integrity (a tampered block file fails CRC or
-//     re-validation), so the checkpoint never weakens tamper evidence.
+//     checkpoint fails any verification step, then check the final
+//     contract state against the head header's state root. Replay also
+//     re-verifies the chain's integrity (a tampered block file fails CRC
+//     or re-validation), so the checkpoint never weakens tamper evidence.
 
 // Durable file names inside the data directory.
 const (
@@ -92,7 +93,32 @@ func Open(dir string, cfg Config) (*Platform, func() error, error) {
 		wal.Close()
 		return nil, nil, fmt.Errorf("platform: replay: %w", err)
 	}
+	if err := p.checkHeadRoot(); err != nil {
+		wal.Close()
+		return nil, nil, err
+	}
 	return p, wal.Close, nil
+}
+
+// checkHeadRoot compares the replayed contract state with the state root
+// committed in the head block's header. Consensus-proposed blocks carry
+// a zero root and are not checked.
+func (p *Platform) checkHeadRoot() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	head := p.chain.Head()
+	if head == nil || head.Header.StateRoot == (merkle.Hash{}) {
+		return nil
+	}
+	root, err := p.engine.StateRoot()
+	if err != nil {
+		return fmt.Errorf("platform: replayed state root: %w", err)
+	}
+	if root != head.Header.StateRoot {
+		return fmt.Errorf("platform: replayed state root %s does not match block header %s at height %d",
+			root.String(), head.Header.StateRoot.String(), head.Header.Height)
+	}
+	return nil
 }
 
 // openFromCheckpoint attempts the fast reopen path: rebuild the chain
@@ -188,7 +214,9 @@ func (p *Platform) restoreCheckpoint(cp *store.Checkpoint, sp *telemetry.Span) e
 	}
 	// The restored contract state must hash to both the checkpoint's
 	// recorded root and the root committed in the block header at the
-	// checkpoint height — the same double-entry the full replay enforces.
+	// checkpoint height. Full replay checks the head header's root the
+	// same way; the WAL tail replayed above the checkpoint is not
+	// re-checked, which would cost one more O(state) root per restart.
 	checkRoot := func() error {
 		rs := sp.Child("platform.state_root_check")
 		defer rs.End()

@@ -4,10 +4,16 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/keys"
+	"repro/internal/ledger"
+	"repro/internal/merkle"
 	"repro/internal/ranking"
+	"repro/internal/store"
 )
 
 func TestDurablePlatformSurvivesRestart(t *testing.T) {
@@ -110,6 +116,43 @@ func TestDurablePlatformDetectsTamperedLog(t *testing.T) {
 	}
 	if _, _, err := Open(dir, DefaultConfig()); err == nil {
 		t.Fatal("tampered chain log accepted")
+	}
+}
+
+func TestFullReplayRejectsWrongHeadStateRoot(t *testing.T) {
+	dir := t.TempDir()
+	p, closeFn, err := Open(dir, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SeedFact("f1", corpus.TopicPolitics, factText); err != nil {
+		t.Fatal(err)
+	}
+	closeFn()
+
+	// Append a well-linked head block whose header commits to a state
+	// root no replay can reach. No checkpoint exists, so Open replays.
+	wal, err := store.OpenFileLog(filepath.Join(dir, chainLogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := ledger.NewChain(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := merkle.Hash{0xde, 0xad}
+	blk := ledger.NewBlock(chain.Height(), chain.HeadID(), wrong, time.Unix(1, 0), keys.FromSeed([]byte("proposer")).Address(), nil)
+	if err := chain.Append(blk); err != nil {
+		t.Fatal(err)
+	}
+	wal.Close()
+
+	_, _, err = Open(dir, DefaultConfig())
+	if err == nil {
+		t.Fatal("full replay accepted a head block with a wrong state root")
+	}
+	if !strings.Contains(err.Error(), "state root") {
+		t.Fatalf("want a state-root mismatch, got %v", err)
 	}
 }
 

@@ -14,6 +14,7 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -427,9 +428,14 @@ func (p *Platform) CheckpointHeight() uint64 {
 	return p.ckptHeight
 }
 
-// TrainClassifier fits the AI text component on labelled statements.
+// TrainClassifier fits the AI text component on labelled statements,
+// traced as one platform.train_classifier span.
 func (p *Platform) TrainClassifier(c aidetect.TextClassifier, train []corpus.Statement) error {
+	sp := p.tracer.Start("platform.train_classifier")
+	defer sp.End()
+	sp.SetAttr("statements", strconv.Itoa(len(train)))
 	if err := c.Train(train); err != nil {
+		sp.SetAttr("error", err.Error())
 		return fmt.Errorf("platform: train classifier: %w", err)
 	}
 	p.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/aidetect"
 	"repro/internal/corpus"
 	"repro/internal/telemetry"
 )
@@ -36,4 +37,29 @@ func TestDurableNodeMempoolMetricsLive(t *testing.T) {
 			t.Fatalf("durable node metrics missing %q in:\n%s", want, body)
 		}
 	}
+}
+
+func TestTrainClassifierTraced(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Telemetry = telemetry.New()
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train := corpus.NewGenerator(1).Generate(20, 20).Statements
+	if err := p.TrainClassifier(aidetect.NewNaiveBayes(), train); err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range cfg.Telemetry.Tracer().Spans() {
+		if sp.Name != "platform.train_classifier" {
+			continue
+		}
+		for _, a := range sp.Attrs {
+			if a.Key == "statements" && a.Value == "40" {
+				return
+			}
+		}
+		t.Fatalf("train span attrs %v lack statements=40", sp.Attrs)
+	}
+	t.Fatal("no platform.train_classifier span")
 }
